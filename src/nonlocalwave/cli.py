@@ -165,16 +165,7 @@ def run(cfg):
         if cfg.command == "certify":
             rz_m = m or scenario.m
             basis = scenarios.build_basis(scenario.domain, rz_m)
-            symbols = ("a", "c", "sigma") if scenario.kind == "undamped" \
-                else ("d", "mu", "sigma")
-            form = forms.FormSpec(
-                scenarios._coef(scenario, symbols[0], scenario.gradient_coef),
-                scenarios._coef(scenario, symbols[1], scenario.zeroth_coef),
-                None if scenario.damping_coef is None
-                else scenarios._coef(scenario, symbols[2],
-                                     scenario.damping_coef),
-                horizon=scenario.horizon)
-            cert = forms.certify(form, basis)
+            cert = forms.certify(scenarios.build_form(scenario), basis)
             kg = fixedpoint.nonlocal_kernel(scenario.kappa1, scenario.horizon)
             kh = fixedpoint.nonlocal_kernel(scenario.kappa2, scenario.horizon)
             payload = {
@@ -316,3 +307,7 @@ def parse_args(argv=None):
 
 def main(argv=None):
     sys.exit(run(parse_args(argv)))
+
+
+if __name__ == "__main__":
+    main()

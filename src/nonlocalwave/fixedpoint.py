@@ -158,8 +158,7 @@ def with_extra_forcing(nl, extra, extra_b=None):
 
 def growth_excess(nl, traj, values=None):
     """Largest violation of |f(t,u)| <= a|u| + b(t) along a trajectory."""
-    a, b = nl.ball_growth(traj.m) if nl.kind == "lipschitz" else \
-        (nl.growth_a, nl.growth_b)
+    a, b = nl.ball_growth(traj.m)
     if values is None:
         values = superpose(nl, traj)
     worst = 0.0
@@ -171,8 +170,7 @@ def growth_excess(nl, traj, values=None):
 
 def validate_growth(nl, m, horizon, rng, probes=20, radius=2.0, tol=1e-9):
     """Sample random coefficient vectors and check the declared growth bound."""
-    a, b = (nl.growth_a, nl.growth_b) if nl.kind == "growth" else \
-        nl.ball_growth(m)
+    a, b = nl.ball_growth(m)
     worst = 0.0
     for _ in range(probes):
         t = float(rng.uniform(0.0, horizon))
@@ -266,85 +264,36 @@ class FixedPointReport:
         return out
 
 
-class _Representation:
-    """Precomputed weights/views for evaluating the solution map on a grid."""
-
-    def __init__(self, fs, op):
-        self.fs = fs
-        self.op = op
-        self.grid = fs.time_grid
-        self.m = fs.m
-        n = self.grid.size
-        self.weights = [None] + [quadrature.composite_weights(self.grid[: i + 1])
-                                 for i in range(1, n)]
-        self.rows = [fs.row(i) for i in range(n)]
-
-    def evaluate(self, x0, y0, F, start=0, stop=None, u_out=None, v_out=None):
-        """Fill u/v tracks for nodes start..stop from data frozen at `start`.
-
-        F holds f-samples on the full grid; the Duhamel sum runs over
-        [t_start, t_i] with composite weights on that subrange and the
-        endpoint-corrected startup rule on the first interval.
-        """
-        fs, m = self.fs, self.m
-        n = self.grid.size if stop is None else stop + 1
-        if u_out is None:
-            u_out = np.empty((self.grid.size, m))
-            v_out = np.empty((self.grid.size, m))
-        for i in range(start, n):
-            E0 = fs.E(i, start)
-            uu = E0[:m, :m] @ x0 + E0[:m, m:] @ y0
-            vv = E0[m:, :m] @ x0 + E0[m:, m:] @ y0
-            if i > start:
-                w = quadrature.composite_weights(self.grid[start: i + 1]) \
-                    if start else self.weights[i]
-                wF = w[:, None] * F[start: i + 1]
-                row = self.rows[i][start:]
-                if i - start == 1:
-                    uu = uu + voc.single_interval_duhamel(
-                        fs, self.op, i, start, F,
-                        self.grid[i] - self.grid[start])
-                else:
-                    uu = uu + np.einsum("jab,jb->a", row[:, :m, m:], wF)
-                vv = vv + np.einsum("jab,jb->a", row[:, m:, m:], wF)
-            u_out[i] = uu
-            v_out[i] = vv
-        return u_out, v_out
-
-
-def _solution_map(problem, rep, w, x0, y0, partition=None, cfg=None):
+def _solution_map(problem, fs, w, x0, y0, partition=None, cfg=None):
     """One application of the solution map, optionally by concatenation."""
     F = superpose(problem.nonlinearity, w)
-    u = np.empty((rep.grid.size, rep.m))
-    v = np.empty((rep.grid.size, rep.m))
+    grid = fs.time_grid
     if partition is None:
-        rep.evaluate(x0, y0, F, u_out=u, v_out=v)
-        return Trajectory(rep.grid, u, v)
+        u, v = voc.representation(fs, problem.op, x0, y0, F)
+        return Trajectory(grid, u, v)
     # forward concatenation with an inner Picard solve per sub-interval
     inner_tol = cfg.inner_tol if cfg.inner_tol is not None else 0.1 * cfg.tol
+    u = np.empty((grid.size, fs.m))
+    v = np.empty((grid.size, fs.m))
     xa, ya = x0, y0
     local = w.u.copy()
     for a, b in zip(partition[:-1], partition[1:]):
         for _ in range(cfg.inner_max_iter):
-            rep.evaluate(xa, ya, F, start=a, stop=b, u_out=u, v_out=v)
+            voc.representation(fs, problem.op, xa, ya, F, start=a, stop=b,
+                               u=u, v=v)
             upd = float(np.max(np.linalg.norm(u[a:b + 1] - local[a:b + 1],
                                               axis=1)))
             local[a:b + 1] = u[a:b + 1]
-            chunk = Trajectory(rep.grid[a:b + 1], u[a:b + 1], v[a:b + 1])
-            F[a:b + 1] = superpose_window(problem.nonlinearity, chunk)
+            chunk = Trajectory(grid[a:b + 1], u[a:b + 1], v[a:b + 1])
+            F[a:b + 1] = superpose(problem.nonlinearity, chunk)
             if upd < inner_tol:
                 break
         else:
             raise NonconvergenceError(
-                f"inner iteration stalled on sub-interval [{rep.grid[a]:.4g}, "
-                f"{rep.grid[b]:.4g}]")
+                f"inner iteration stalled on sub-interval [{grid[a]:.4g}, "
+                f"{grid[b]:.4g}]")
         xa, ya = u[b], v[b]
-    return Trajectory(rep.grid, u, v)
-
-
-def superpose_window(nl, traj):
-    return np.array([nl.evaluator(t, traj.u[i])
-                     for i, t in enumerate(traj.grid)])
+    return Trajectory(grid, u, v)
 
 
 def _measured_ratio(updates, tol):
@@ -354,7 +303,7 @@ def _measured_ratio(updates, tol):
     return max(ratios) if ratios else None
 
 
-def _finalise(problem, rep, w, report, cfg, sup_w, r1, r2):
+def _finalise(problem, fs, w, report, cfg, sup_w, r1, r2):
     x = apply_kernel(problem.kernel_g, w, problem.basis)
     y = apply_kernel(problem.kernel_h, w, problem.basis)
     report.residual_ic_u = float(np.linalg.norm(w.u[0] - x))
@@ -362,9 +311,9 @@ def _finalise(problem, rep, w, report, cfg, sup_w, r1, r2):
     res = voc.residual(w, problem.op,
                        rhs=lambda t, u: problem.nonlinearity.evaluator(t, u))
     report.residual_equation = res.equation
-    a, b = problem.nonlinearity.ball_growth(rep.m)
+    a, b = problem.nonlinearity.ball_growth(fs.m)
     b_l1 = float(quadrature.integrate(
-        np.array([abs(b(t)) for t in rep.grid]), rep.grid))
+        np.array([abs(b(t)) for t in fs.time_grid]), fs.time_grid))
     report.r1, report.r2 = max(r1, float(np.linalg.norm(x))), \
         max(r2, float(np.linalg.norm(y)))
     report.gronwall_radius = gronwall_radius(
@@ -395,8 +344,7 @@ def contraction_solve(problem, fs, cfg=None):
     if problem.nonlinearity.lipschitz is None:
         raise ConfigurationError(
             "contraction_solve needs a Lipschitz nonlinearity with declared L")
-    rep = _Representation(fs, problem.op)
-    grid = rep.grid
+    grid = fs.time_grid
     T = problem.horizon
     m1, m2, m2t = _block_bounds(fs)
     lg = forms.kernel_lipschitz(problem.kernel_g, problem.basis).into_h
@@ -437,7 +385,7 @@ def contraction_solve(problem, fs, cfg=None):
         q_duhamel=float(q_duhamel), t_star=t_star, partition=partition,
         m1=m1, m2=m2, m2t=m2t, l_g=lg, l_h=lh, lipschitz=L, message=message)
 
-    w = zero_trajectory(grid, rep.m)
+    w = zero_trajectory(grid, fs.m)
     sup_w = []
     r1 = r2 = 0.0
     for k in range(1, cfg.max_iter + 1):
@@ -445,7 +393,7 @@ def contraction_solve(problem, fs, cfg=None):
         y0 = apply_kernel(problem.kernel_h, w, problem.basis)
         r1, r2 = max(r1, float(np.linalg.norm(x0))), \
             max(r2, float(np.linalg.norm(y0)))
-        w_new = _solution_map(problem, rep, w, x0, y0, partition, cfg)
+        w_new = _solution_map(problem, fs, w, x0, y0, partition, cfg)
         upd = float(np.max(np.linalg.norm(w_new.u - w.u, axis=1)))
         if not np.isfinite(upd):
             report.iterations = k
@@ -459,7 +407,7 @@ def contraction_solve(problem, fs, cfg=None):
             report.converged = True
             break
     report.growth_excess = growth_excess(problem.nonlinearity, w)
-    _finalise(problem, rep, w, report, cfg, sup_w, r1, r2)
+    _finalise(problem, fs, w, report, cfg, sup_w, r1, r2)
     if not report.converged:
         report.message += " | no convergence within max_iter"
         raise NonconvergenceError(
@@ -469,7 +417,7 @@ def contraction_solve(problem, fs, cfg=None):
     return w, report
 
 
-def _picard(problem, rep, w, cfg, report, sup_w, scale=1.0, budget=None,
+def _picard(problem, fs, w, cfg, report, sup_w, scale=1.0, budget=None,
             tol=None):
     """Damped Picard phase; returns (w, converged, r1, r2).
 
@@ -485,13 +433,13 @@ def _picard(problem, rep, w, cfg, report, sup_w, scale=1.0, budget=None,
         y0 = apply_kernel(problem.kernel_h, w, problem.basis)
         r1, r2 = max(r1, float(np.linalg.norm(x0))), \
             max(r2, float(np.linalg.norm(y0)))
-        target = _solution_map(problem, rep, w, x0, y0)
+        target = _solution_map(problem, fs, w, x0, y0)
         if scale != 1.0:
-            target = Trajectory(rep.grid, scale * target.u, scale * target.v)
+            target = Trajectory(target.grid, scale * target.u, scale * target.v)
         u_new = (1.0 - cfg.theta) * w.u + cfg.theta * target.u
         v_new = (1.0 - cfg.theta) * w.v + cfg.theta * target.v
         upd = float(np.max(np.linalg.norm(u_new - w.u, axis=1)))
-        w = Trajectory(rep.grid, u_new, v_new)
+        w = Trajectory(w.grid, u_new, v_new)
         local.append(upd)
         report.update_norms.append(upd)
         report.iterations += 1
@@ -513,7 +461,7 @@ def relaxed_solve(problem, fs, cfg=None):
     :class:`NonconvergenceError` rather than failing silently.
     """
     cfg = cfg or SolveConfig()
-    rep = _Representation(fs, problem.op)
+    grid = fs.time_grid
     rng = np.random.default_rng(cfg.seed)
     m1, m2, m2t = _block_bounds(fs)
 
@@ -523,32 +471,31 @@ def relaxed_solve(problem, fs, cfg=None):
     r1 = r2 = 0.0
     for _ in range(cfg.probe_count):
         probe = Trajectory(
-            rep.grid,
-            rng.standard_normal((rep.grid.size, rep.m)) * cfg.probe_radius,
-            np.zeros((rep.grid.size, rep.m)))
+            grid, rng.standard_normal((grid.size, fs.m)) * cfg.probe_radius,
+            np.zeros((grid.size, fs.m)))
         r1 = max(r1, float(np.linalg.norm(
             apply_kernel(problem.kernel_g, probe, problem.basis))))
         r2 = max(r2, float(np.linalg.norm(
             apply_kernel(problem.kernel_h, probe, problem.basis))))
 
     sup_w = []
-    w = zero_trajectory(rep.grid, rep.m)
+    w = zero_trajectory(grid, fs.m)
     converged = False
     if cfg.homotopy != "always":
-        w, converged, p1, p2 = _picard(problem, rep, w, cfg, report, sup_w)
+        w, converged, p1, p2 = _picard(problem, fs, w, cfg, report, sup_w)
         r1, r2 = max(r1, p1), max(r2, p2)
         report.lambda_reached = 1.0 if converged else 0.0
 
     if not converged and cfg.homotopy != "never":
         lambdas = np.linspace(0.0, 1.0, cfg.lambda_steps)
-        w = zero_trajectory(rep.grid, rep.m)   # exact fixed point at lambda 0
+        w = zero_trajectory(grid, fs.m)   # exact fixed point at lambda 0
         report.homotopy_path.append((0.0, 0, 0.0))
         report.lambda_reached = 0.0
         i = 1
         lam_list = lambdas.tolist()
         while i < len(lam_list):
             lam = lam_list[i]
-            trial, ok, p1, p2 = _picard(problem, rep, w.copy(), cfg, report,
+            trial, ok, p1, p2 = _picard(problem, fs, w.copy(), cfg, report,
                                         sup_w, scale=lam,
                                         budget=cfg.inner_max_iter)
             r1, r2 = max(r1, p1), max(r2, p2)
@@ -566,13 +513,13 @@ def relaxed_solve(problem, fs, cfg=None):
                 continue
             report.message = (f"homotopy stalled at lambda="
                               f"{report.lambda_reached:.3g}")
-            _finalise(problem, rep, w, report, cfg, sup_w, r1, r2)
+            _finalise(problem, fs, w, report, cfg, sup_w, r1, r2)
             raise NonconvergenceError(report.message, report=report)
         converged = True
 
     report.converged = converged
     report.growth_excess = growth_excess(problem.nonlinearity, w)
-    _finalise(problem, rep, w, report, cfg, sup_w, r1, r2)
+    _finalise(problem, fs, w, report, cfg, sup_w, r1, r2)
     if not converged:
         raise NonconvergenceError("relaxed iteration did not converge",
                                   report=report)

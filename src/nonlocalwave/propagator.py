@@ -83,17 +83,6 @@ def validate_step(op, horizon, h):
             f"(need h <= {STABILITY_LIMIT / freq:.4g})")
 
 
-def _derivative(op, t, X, F=None):
-    m = op.dim
-    top = X[m:]
-    bottom = -(np.asarray(op.a_of_t(t)) @ X[:m])
-    if op.b_of_t is not None:
-        bottom = bottom - np.asarray(op.b_of_t(t)) @ X[m:]
-    if F is not None:
-        bottom = bottom + F
-    return np.concatenate([top, bottom], axis=0)
-
-
 class _Stepper:
     """RK4 stages for the linear block system, reusing endpoint matrices."""
 
@@ -474,13 +463,18 @@ def dump_fs(fs, path):
 def load_fs(path):
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw[:8] != _MAGIC:
+    off = len(_MAGIC) + struct.calcsize("<BIId")
+    if raw[:8] != _MAGIC or len(raw) < off:
         raise ConfigurationError(f"{path} is not a fundamental-solution dump")
     kind_b, m, n, h = struct.unpack_from("<BIId", raw, 8)
-    off = 8 + struct.calcsize("<BIId")
+    p = n * (n + 1) // 2
+    expected = off + 8 * (n + p * 4 * m * m)
+    if len(raw) != expected:
+        raise ConfigurationError(
+            f"{path} holds {len(raw)} bytes; its header (m={m}, {n} nodes) "
+            f"needs exactly {expected}")
     grid = np.frombuffer(raw, dtype="<f8", count=n, offset=off).copy()
     off += 8 * n
-    p = n * (n + 1) // 2
     blocks = np.frombuffer(raw, dtype="<f8", count=p * 4 * m * m, offset=off)
     blocks = blocks.reshape(p, 2 * m, 2 * m).copy()
     return FundamentalSolution(grid, m, "damped" if kind_b else "undamped",

@@ -8,6 +8,8 @@ a single interval.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ConfigurationError
@@ -28,29 +30,39 @@ def require_uniform(x, tol=1e-9):
 
 
 def composite_weights(x):
-    """Quadrature weights w with sum(w * f(x)) ~ integral of f over x."""
+    """Quadrature weights w with sum(w * f(x)) ~ integral of f over x.
+
+    Memoised on the nodes themselves, so the representation formula can ask
+    for the weights of every sub-grid on every evaluation at the cost of a
+    lookup; the returned array is read-only.
+    """
     x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ConfigurationError("grid must be one-dimensional")
+    return _weights(x.tobytes())
+
+
+@functools.lru_cache(maxsize=4096)
+def _weights(raw):
+    x = np.frombuffer(raw)
     n = x.size - 1
     if n < 0:
         raise ConfigurationError("empty grid")
     w = np.zeros(x.size)
-    if n == 0:
-        return w
-    h = require_uniform(x)
-    if n == 1:
-        w[:] = h / 2.0
-        return w
-    if n % 2 == 0:
-        w[0] = w[-1] = h / 3.0
-        w[1:-1:2] = 4.0 * h / 3.0
-        w[2:-1:2] = 2.0 * h / 3.0
-        return w
-    if n == 3:
-        w[:] = np.array([3.0, 9.0, 9.0, 3.0]) * h / 8.0
-        return w
-    # even-count Simpson up to node n-3, then one 3/8 panel
-    w[: n - 2] = composite_weights(x[: n - 2])
-    w[n - 3 :] += np.array([3.0, 9.0, 9.0, 3.0]) * h / 8.0
+    if n > 0:
+        h = require_uniform(x)
+        if n == 1:
+            w[:] = h / 2.0
+        elif n % 2 == 0:
+            w[0] = w[-1] = h / 3.0
+            w[1:-1:2] = 4.0 * h / 3.0
+            w[2:-1:2] = 2.0 * h / 3.0
+        else:
+            # even-count Simpson up to node n-3, then one 3/8 panel
+            if n > 3:
+                w[: n - 2] = _weights(x[: n - 2].tobytes())
+            w[n - 3 :] += np.array([3.0, 9.0, 9.0, 3.0]) * h / 8.0
+    w.flags.writeable = False
     return w
 
 

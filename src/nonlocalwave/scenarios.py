@@ -135,9 +135,17 @@ class Realization:
     span_defect: float | None = None
 
 
-def _coef(scenario, symbol, source):
-    lo, hi = scenario.bound_for(symbol)
-    return forms.coefficient_field(symbol, source, lower=lo, upper=hi)
+def build_form(scenario):
+    """FormSpec of a scenario: its coefficients under the symbols of its
+    kind (a, c, sigma or d, mu, sigma), carrying the declared bounds."""
+    symbols = ("a", "c", "sigma") if scenario.kind == "undamped" else \
+        ("d", "mu", "sigma")
+    sources = (scenario.gradient_coef, scenario.zeroth_coef,
+               scenario.damping_coef)
+    fields = [None if src is None else forms.coefficient_field(
+        sym, src, *scenario.bound_for(sym))
+        for sym, src in zip(symbols, sources)]
+    return forms.FormSpec(*fields, horizon=scenario.horizon)
 
 
 def realize(scenario, m=None, h=None, fs_step=None, span_tol=1e-8, seed=0,
@@ -158,14 +166,7 @@ def realize(scenario, m=None, h=None, fs_step=None, span_tol=1e-8, seed=0,
             f"damping_coef={scenario.damping_coef!r}")
     basis = build_basis(scenario.domain, m)
 
-    symbols = ("a", "c", "sigma") if scenario.kind == "undamped" else \
-        ("d", "mu", "sigma")
-    form = forms.FormSpec(
-        _coef(scenario, symbols[0], scenario.gradient_coef),
-        _coef(scenario, symbols[1], scenario.zeroth_coef),
-        None if scenario.damping_coef is None
-        else _coef(scenario, symbols[2], scenario.damping_coef),
-        horizon=T)
+    form = build_form(scenario)
     op = propagator.BlockOperator(
         forms.stiffness_supplier(form, basis),
         forms.damping_supplier(form, basis), m)

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import quadrature
 from .errors import ConfigurationError
 
 GRAM_TOL = 1e-12
@@ -210,9 +209,6 @@ class Trajectory:
 
     def sup_h_norm(self):
         return float(np.max(np.linalg.norm(self.u, axis=1)))
-
-    def l2_h_norm(self):
-        return quadrature.l2_time_norm(self.u, self.grid)
 
     def copy(self):
         return Trajectory(self.grid.copy(), self.u.copy(), self.v.copy())

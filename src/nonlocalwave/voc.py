@@ -81,53 +81,63 @@ def single_interval_duhamel(fs, op, i, j0, F, dt):
     return 0.5 * dt * q0 - dt ** 2 / 12.0 * (q1p - q0p)
 
 
-def _representation(p, fs, grid):
-    grid, idx = _grid_indices(fs, grid)
-    m = p.op.dim
-    N = grid.size
-    F = None
-    dt = p.u0.dtype
-    if p.forcing is not None:
-        F = np.array([np.asarray(p.forcing(t)) for t in fs.time_grid])
-        dt = np.result_type(dt, F.dtype)
-    u = np.empty((N, m), dtype=dt)
-    v = np.empty((N, m), dtype=dt)
-    for out_i, gi in enumerate(idx):
-        uu = fs.C(gi, 0) @ p.u0 + fs.S(gi, 0) @ p.u1
-        vv = fs.dC(gi, 0) @ p.u0 + fs.dS(gi, 0) @ p.u1
-        if F is not None and gi > 0:
-            sub = fs.time_grid[: gi + 1]
-            w = quadrature.composite_weights(sub)
-            wF = w[:, None] * F[: gi + 1]
-            row = fs.row(gi)       # (gi+1, 2m, 2m)
-            if gi == 1:
-                uu = uu + single_interval_duhamel(fs, p.op, gi, 0, F,
-                                                  sub[1] - sub[0])
+def representation(fs, op, x0, y0, F, start=0, stop=None, u=None, v=None):
+    """u/v tracks of the representation formula on nodes start..stop.
+
+    The data (x0, y0) are frozen at t_start; F holds f-samples on the full
+    fs grid (None for a homogeneous problem).  The Duhamel sum runs over
+    [t_start, t_i] with composite weights on that subrange and the
+    endpoint-corrected startup rule on the first interval.  Rows of ``u``
+    and ``v`` outside start..stop are left untouched.
+    """
+    m = fs.m
+    grid = fs.time_grid
+    stop = grid.size - 1 if stop is None else stop
+    if u is None:
+        dt = np.result_type(x0, y0, float if F is None else F)
+        u = np.empty((grid.size, m), dtype=dt)
+        v = np.empty((grid.size, m), dtype=dt)
+    for i in range(start, stop + 1):
+        E0 = fs.E(i, start)
+        uu = E0[:m, :m] @ x0 + E0[:m, m:] @ y0
+        vv = E0[m:, :m] @ x0 + E0[m:, m:] @ y0
+        if F is not None and i > start:
+            w = quadrature.composite_weights(grid[start: i + 1])
+            wF = w[:, None] * F[start: i + 1]
+            row = fs.row(i)[start:]
+            if i - start == 1:
+                uu = uu + single_interval_duhamel(fs, op, i, start, F,
+                                                  grid[i] - grid[start])
             else:
                 uu = uu + np.einsum("jab,jb->a", row[:, :m, m:], wF)
             vv = vv + np.einsum("jab,jb->a", row[:, m:, m:], wF)
-        u[out_i] = uu
-        v[out_i] = vv
-    return Trajectory(grid, u, v)
+        u[i] = uu
+        v[i] = vv
+    return u, v
 
 
 def solve_undamped(p, fs, grid):
     """Representation-formula solve on ``grid`` (each node must be an fs node)."""
     if fs.kind != "undamped":
         raise ConfigurationError("solve_undamped needs an undamped family")
-    return _representation(p, fs, grid)
+    return solve(p, fs, grid)
 
 
 def solve_damped(p, fs, grid):
     """Damped representation u = v1 u0 + v2 u1 + int v2(t,s) f(s) ds."""
     if fs.kind != "damped":
         raise ConfigurationError("solve_damped needs a damped family")
-    return _representation(p, fs, grid)
+    return solve(p, fs, grid)
 
 
 def solve(p, fs, grid):
-    """Dispatch on the family kind."""
-    return _representation(p, fs, grid)
+    """Representation-formula solve for either family kind."""
+    grid, idx = _grid_indices(fs, grid)
+    F = None
+    if p.forcing is not None:
+        F = np.array([np.asarray(p.forcing(t)) for t in fs.time_grid])
+    u, v = representation(fs, p.op, p.u0, p.u1, F, stop=max(idx, default=0))
+    return Trajectory(grid, u[idx], v[idx])
 
 
 def direct_integrate(p, h, grid=None):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,6 +116,19 @@ def test_manufactured_command_requires_u_star(tmp_path):
 def test_unknown_scenario_exits_1(tmp_path):
     rc, _, manifest = run(tmp_path, "unk", command="solve", scenario="nope")
     assert rc == 1 and "unknown scenario" in manifest["error"]
+
+
+@pytest.mark.parametrize("module", ["nonlocalwave", "nonlocalwave.cli"])
+def test_module_entry_point_runs(tmp_path, module):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(nlw.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    out = tmp_path / "unk"
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "certify", "--scenario", "nope",
+         "--out", str(out)], env=env, capture_output=True)
+    assert proc.returncode == 1
+    assert "error" in json.loads((out / "manifest.json").read_text())
 
 
 def test_overrides_validated(tmp_path):

@@ -195,11 +195,16 @@ def test_dump_load_round_trip(tmp_path, diag_fs):
     assert path.read_bytes() == path2.read_bytes()
 
 
-def test_load_rejects_foreign_file(tmp_path):
+def test_load_rejects_foreign_file(tmp_path, diag_fs):
+    good = tmp_path / "fs.bin"
+    nlw.dump_fs(diag_fs, good)
+    raw = good.read_bytes()
     p = tmp_path / "junk.bin"
-    p.write_bytes(b"not a dump")
-    with pytest.raises(ConfigurationError):
-        nlw.load_fs(p)
+    # foreign bytes, truncated header, truncated blocks, trailing bytes
+    for junk in (b"not a dump", raw[:12], raw[:-8], raw + b"\0"):
+        p.write_bytes(junk)
+        with pytest.raises(ConfigurationError):
+            nlw.load_fs(p)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import nonlocalwave as nlw
-from nonlocalwave import ConfigurationError
+from nonlocalwave import ConfigurationError, voc
 from nonlocalwave.fixedpoint import gronwall_radius
 
 
@@ -128,6 +128,23 @@ def test_oracle_equivalence_small_batch():
         direct = nlw.direct_integrate(p, 1e-3, grid=grid)
         disagree = np.max(np.linalg.norm(rep.u - direct.u, axis=1))
         assert disagree < 1e-6
+
+
+def test_windowed_representation_matches_oracle():
+    # the partition path: data frozen at an interior node t_a
+    grid = np.linspace(0.0, 1.0, 51)
+    rng = np.random.default_rng(11)
+    p = random_smooth_problem(rng)
+    fs = nlw.fundamental_solution(p.op, grid, h=1e-3)
+    a = 17
+    xa, ya = rng.standard_normal(8), rng.standard_normal(8)
+    F = np.array([p.forcing(t) for t in grid])
+    u, v = voc.representation(fs, p.op, xa, ya, F, start=a)
+    p_a = nlw.LinearProblem(p.op, xa, ya, p.forcing, 1.0)
+    direct = nlw.direct_integrate(p_a, 1e-3, grid=grid[a:])
+    assert np.max(np.linalg.norm(u[a:] - direct.u, axis=1)) < 1e-6
+    # the velocity's first interval is a plain trapezoid, O(dt^3)
+    assert np.max(np.linalg.norm(v[a:] - direct.v, axis=1)) < 1e-4
 
 
 def test_linearity_superposition(rng):
