@@ -324,8 +324,9 @@ def _finalise(problem, fs, w, report, cfg, sup_w, r1, r2):
 
 
 def _block_bounds(fs):
-    m1 = max(np.linalg.norm(fs.C(i, 0), 2) for i in range(fs.n_nodes))
-    m2 = max(np.linalg.norm(fs.S(i, 0), 2) for i in range(fs.n_nodes))
+    first = np.stack([fs.E(i, 0) for i in range(fs.n_nodes)])
+    m1 = np.linalg.norm(first[:, : fs.m, : fs.m], 2, axis=(1, 2)).max()
+    m2 = np.linalg.norm(first[:, : fs.m, fs.m:], 2, axis=(1, 2)).max()
     return float(m1), float(m2), fs.duhamel_bound()
 
 

@@ -6,11 +6,13 @@ system U' = G(t)U + F with U = (u, u') and
     G(t) = [[0, I], [-A(t), -B(t)]],      F = (0, f).
 
 The two-parameter solution operator E(t, s) of the homogeneous system is
-tabulated on a time grid by propagating identity blocks; its quadrants are
-C(t,s), S(t,s), dC(t,s), dS(t,s) for the undamped family and v1..v4 for the
-damped one.  All columns sharing a time interval are advanced jointly on one
-step lattice, so the composition identity E(t,s) = E(t,r)E(r,s) holds to
-rounding and the axiom checks measure genuine integrator defects.
+tabulated on a time grid; its quadrants are C(t,s), S(t,s), dC(t,s), dS(t,s)
+for the undamped family and v1..v4 for the damped one.  The integrator is
+linear in the state, so each grid interval has one transition map Phi_j,
+obtained by integrating an identity block across it, and every stored block
+is a product of these maps, E(t_i, s_j) = Phi_i ... Phi_{j+1}.  The
+composition identity E(t,s) = E(t,r)E(r,s) thus holds by construction up to
+matmul rounding, and the axiom checks measure genuine integrator defects.
 
 The integrator is the classical explicit fourth-order one-step method with
 the matrix evaluated at the stage times; the step is fixed and validated
@@ -19,6 +21,7 @@ against the spectral radius of A before each run.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -214,57 +217,59 @@ class FundamentalSolution:
     def sup_norms(self):
         """Largest 2-norms of the four quadrants over all stored pairs."""
         m = self.m
-        out = {"C": 0.0, "S": 0.0, "dC": 0.0, "dS": 0.0}
-        for blk in self.blocks:
-            out["C"] = max(out["C"], np.linalg.norm(blk[:m, :m], 2))
-            out["S"] = max(out["S"], np.linalg.norm(blk[:m, m:], 2))
-            out["dC"] = max(out["dC"], np.linalg.norm(blk[m:, :m], 2))
-            out["dS"] = max(out["dS"], np.linalg.norm(blk[m:, m:], 2))
-        return {k: float(v) for k, v in out.items()}
+        lo, hi = slice(None, m), slice(m, None)
+        quadrants = {"C": (lo, lo), "S": (lo, hi), "dC": (hi, lo), "dS": (hi, hi)}
+        return {k: float(np.linalg.norm(self.blocks[:, r, c], 2, axis=(1, 2)).max())
+                for k, (r, c) in quadrants.items()}
 
     def duhamel_bound(self):
         """max over t of int_0^t ||S(t,s)|| ds (the constant M_{2,T})."""
         from . import quadrature
+        norms = np.linalg.norm(self.blocks[:, : self.m, self.m:], 2, axis=(1, 2))
         best = 0.0
         for i in range(1, self.n_nodes):
-            sub = self.time_grid[: i + 1]
-            vals = np.array([np.linalg.norm(self.S(i, j), 2) for j in range(i + 1)])
-            best = max(best, float(quadrature.integrate(vals, sub)))
+            start = self._index(i, 0)
+            vals = norms[start:start + i + 1]
+            best = max(best, float(quadrature.integrate(vals, self.time_grid[: i + 1])))
         return best
 
 
 def fundamental_solution(op, grid, h=1e-3, validate=True):
-    """Tabulate E(t_i, s_j) on all grid pairs by a joint multi-start sweep.
+    """Tabulate E(t_i, s_j) on all grid pairs by composing interval maps.
 
-    Each grid node seeds an identity block; all active blocks advance through
-    the same substeps, so every stored pair is consistent with every other.
+    Interval j is integrated once, on a 2m x 2m identity, giving its RK4
+    transition map Phi_j; row j of the table is then
+    E(t_j, s_i) = Phi_j E(t_{j-1}, s_i) for i < j, with the exact identity
+    on the diagonal.  Every stored pair is a product of the same interval
+    maps, so the composition identity E(t,s) = E(t,r)E(r,s) holds by
+    construction up to matmul rounding.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
         raise ConfigurationError("grid must be strictly increasing with >= 2 nodes")
     if validate:
         validate_step(op, float(grid[-1]), h)
-    m = op.dim
-    n2 = 2 * m
+    n2 = 2 * op.dim
     N = grid.size
     blocks = np.empty((N * (N + 1) // 2, n2, n2))
-    eye = np.eye(n2)
-    blocks[0] = eye
-    X = eye.copy()  # columns: blocks for starts 0..j, shape (2m, 2m*(j+1))
+    blocks[0] = np.eye(n2)
+    fs = FundamentalSolution(grid, op.dim, op.kind, blocks, h)
     for j in range(1, N):
+        where = (f"fundamental solution failed between nodes {j - 1} and {j} "
+                 f"(t in [{grid[j - 1]:.6g}, {grid[j]:.6g}])")
         try:
-            X = _span(op, grid[j - 1], grid[j], X, h, check_every_step=False)
+            phi = _transition(op, grid[j - 1], grid[j], h)
         except PropagationError as exc:
+            raise PropagationError(f"{where}: {exc}", time=exc.time) from exc
+        row = fs.row(j)
+        np.matmul(phi, fs.row(j - 1)[:j - 1], out=row[:j - 1])
+        if not np.all(np.isfinite(row[:j - 1])):
             raise PropagationError(
-                f"fundamental solution failed between nodes {j - 1} and {j} "
-                f"(t in [{grid[j - 1]:.6g}, {grid[j]:.6g}]): {exc}",
-                time=exc.time) from exc
-        base = j * (j + 1) // 2
-        for i in range(j):
-            blocks[base + i] = X[:, i * n2:(i + 1) * n2]
-        blocks[base + j] = eye
-        X = np.concatenate([X, eye], axis=1)
-    return FundamentalSolution(grid, m, op.kind, blocks, h)
+                f"{where}: non-finite blocks reached at t={grid[j]:.6g}",
+                time=float(grid[j]))
+        row[j - 1] = phi
+        row[j] = np.eye(n2)
+    return fs
 
 
 def _transition(op, t_from, t_to, h):
@@ -456,26 +461,25 @@ def dump_fs(fs, path):
         "<BIId", 1 if fs.kind == "damped" else 0, fs.m, fs.n_nodes, fs.h)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(fs.time_grid.astype("<f8").tobytes())
-        fh.write(np.ascontiguousarray(fs.blocks).astype("<f8").tobytes())
+        for arr in (fs.time_grid, fs.blocks):
+            fh.write(memoryview(np.ascontiguousarray(arr, dtype="<f8")).cast("B"))
 
 
 def load_fs(path):
-    with open(path, "rb") as fh:
-        raw = fh.read()
     off = len(_MAGIC) + struct.calcsize("<BIId")
-    if raw[:8] != _MAGIC or len(raw) < off:
-        raise ConfigurationError(f"{path} is not a fundamental-solution dump")
-    kind_b, m, n, h = struct.unpack_from("<BIId", raw, 8)
-    p = n * (n + 1) // 2
-    expected = off + 8 * (n + p * 4 * m * m)
-    if len(raw) != expected:
-        raise ConfigurationError(
-            f"{path} holds {len(raw)} bytes; its header (m={m}, {n} nodes) "
-            f"needs exactly {expected}")
-    grid = np.frombuffer(raw, dtype="<f8", count=n, offset=off).copy()
-    off += 8 * n
-    blocks = np.frombuffer(raw, dtype="<f8", count=p * 4 * m * m, offset=off)
-    blocks = blocks.reshape(p, 2 * m, 2 * m).copy()
+    with open(path, "rb") as fh:
+        head = fh.read(off)
+        if head[:8] != _MAGIC or len(head) < off:
+            raise ConfigurationError(f"{path} is not a fundamental-solution dump")
+        kind_b, m, n, h = struct.unpack_from("<BIId", head, 8)
+        p = n * (n + 1) // 2
+        expected = off + 8 * (n + p * 4 * m * m)
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise ConfigurationError(
+                f"{path} holds {size} bytes; its header (m={m}, {n} nodes) "
+                f"needs exactly {expected}")
+        grid = np.fromfile(fh, dtype="<f8", count=n)
+        blocks = np.fromfile(fh, dtype="<f8", count=p * 4 * m * m)
     return FundamentalSolution(grid, m, "damped" if kind_b else "undamped",
-                               blocks, h)
+                               blocks.reshape(p, 2 * m, 2 * m), h)

@@ -131,6 +131,24 @@ def test_module_entry_point_runs(tmp_path, module):
     assert "error" in json.loads((out / "manifest.json").read_text())
 
 
+def test_outputs_independent_of_blas_threads(tmp_path):
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(nlw.__file__).parents[1]), env.get("PYTHONPATH", "")])
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "nonlocalwave", "solve", "--scenario",
+             "population", "--m", "24", "--seed", "3", "--dump-fs",
+             "--out", str(out)], env=env, capture_output=True)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert sorted(outputs[0]) == ["fs.bin", "manifest.json", "report.json",
+                                  "solution.csv"]
+    assert outputs[0] == outputs[1]
+
+
 def test_overrides_validated(tmp_path):
     rc, _, _ = run(tmp_path, "hm", command="solve",
                    scenario="undamped_neumann", m="1000")

@@ -90,6 +90,57 @@ def test_airy_type_against_independent_oracle():
     assert abs(fs.S(10, 0)[0, 0] - sol.y[0, -1]) < 1e-7
 
 
+def _random_operator(rng, m, damped):
+    lam = np.sort(rng.uniform(0.0, 9.0, m))
+    sym = rng.standard_normal((m, m)) * 0.1
+    sym = 0.5 * (sym + sym.T)
+    freq = rng.uniform(0.5, 2.0)
+
+    def a_of_t(t):
+        return np.diag(lam) + np.sin(freq * t) * sym
+    if not damped:
+        return nlw.undamped_operator(a_of_t, m)
+    damp = np.diag(rng.uniform(0.1, 1.0, m))
+
+    def b_of_t(t):
+        return damp + 0.2 * np.cos(freq * t) * sym
+    return nlw.damped_operator(a_of_t, b_of_t, m)
+
+
+@pytest.mark.parametrize("damped", [False, True])
+def test_composed_table_matches_per_start_propagation(rng, damped):
+    # reference: each start's identity advanced interval by interval on the
+    # same substep lattice, with no products of transition maps
+    op = _random_operator(rng, 4, damped)
+    grid = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, 11))])
+    grid *= 1.2 / grid[-1]
+    h = 1e-2
+    fs = nlw.fundamental_solution(op, grid, h=h)
+    worst = 0.0
+    for j in range(grid.size):
+        assert np.all(fs.E(j, j) == np.eye(8))
+        X = np.eye(8)
+        for i in range(j + 1, grid.size):
+            X = nlw.propagate(op, grid[i - 1], grid[i], X, h=h)
+            worst = max(worst, np.abs(fs.E(i, j) - X).max() / np.abs(X).max())
+    assert worst < 1e-12
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_tabulation_blowup_raises_propagation_error():
+    # u'' = 1e4 u: each unit interval map is finite (entries <= 1.4e45), but
+    # their products overflow after about 308 / 43 ~ 7 intervals
+    op = scalar_op(-1e4)
+    with pytest.raises(nlw.PropagationError,
+                       match="between nodes [0-9]+ and [0-9]+") as exc:
+        nlw.fundamental_solution(op, np.linspace(0.0, 10.0, 11), h=1e-3)
+    assert 7.0 <= exc.value.time <= 8.0
+    # u'' = 1e6 u: the first interval's own map already overflows
+    with pytest.raises(nlw.PropagationError, match="between nodes 0 and 1"):
+        nlw.fundamental_solution(scalar_op(-1e6), np.linspace(0.0, 2.0, 3),
+                                 h=1e-3)
+
+
 def test_axiom_report_autonomous_diagonal(diag_fs, diag_operator):
     op, _ = diag_operator
     rep = nlw.check_axioms(diag_fs, op)
