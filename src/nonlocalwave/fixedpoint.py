@@ -324,10 +324,8 @@ def _finalise(problem, fs, w, report, cfg, sup_w, r1, r2):
 
 
 def _block_bounds(fs):
-    first = np.stack([fs.E(i, 0) for i in range(fs.n_nodes)])
-    m1 = np.linalg.norm(first[:, : fs.m, : fs.m], 2, axis=(1, 2)).max()
-    m2 = np.linalg.norm(first[:, : fs.m, fs.m:], 2, axis=(1, 2)).max()
-    return float(m1), float(m2), fs.duhamel_bound()
+    """(M1, M2, M_{2,T}) of a table, computed on its first solve and kept."""
+    return (*fs.first_column_bounds(), fs.duhamel_bound())
 
 
 def contraction_solve(problem, fs, cfg=None):
@@ -593,14 +591,15 @@ def galerkin_refine(solve_level, m_list, probe_count=5, rng=None):
         diff_u = finest.trajectory.u.copy()
         diff_u[:, :lev.m] -= lev.trajectory.u
         traj_diff = quadrature.l2_time_norm(diff_u, finest.trajectory.grid)
+        # every stored pair at once: S blocks (pairs, m, m) times a probe
+        pairs = len(lev.fs.blocks)
+        small_s = lev.fs.blocks[:, :lev.m, lev.m:]
+        big_s = finest.fs.blocks[:pairs, :M, M:]
         act = 0.0
         for y in ys:
-            for i in range(lev.fs.n_nodes):
-                for j in range(i + 1):
-                    small = lev.fs.S(i, j) @ y[:lev.m]
-                    big = finest.fs.S(i, j) @ y
-                    big[:lev.m] -= small
-                    act = max(act, float(np.linalg.norm(big)))
+            big = big_s @ y
+            big[:, :lev.m] -= small_s @ y[:lev.m]
+            act = max(act, float(np.linalg.norm(big, axis=1).max()))
         rows.append(RefinementRow(
             lev.m, True, float(traj_diff), act,
             None if lev.report is None else lev.report.residual_equation))

@@ -166,6 +166,9 @@ class FundamentalSolution:
     For undamped operators the quadrants of E are (C, S; dC, dS); for damped
     ones they are (v1, v2; v3, v4).  Both are exposed through the same
     accessors since they enter the representation formulas identically.
+    The block bounds are computed on first use and kept, which is sound
+    because the tables made by :func:`fundamental_solution` and
+    :func:`load_fs` are read-only.
     """
 
     def __init__(self, time_grid, m, kind, blocks, h):
@@ -174,6 +177,8 @@ class FundamentalSolution:
         self.kind = kind
         self.blocks = blocks      # (P, 2m, 2m), pair (i, j) at i*(i+1)/2 + j
         self.h = h
+        self._duhamel = None
+        self._first_column = None
 
     @property
     def n_nodes(self):
@@ -224,14 +229,28 @@ class FundamentalSolution:
 
     def duhamel_bound(self):
         """max over t of int_0^t ||S(t,s)|| ds (the constant M_{2,T})."""
-        from . import quadrature
-        norms = np.linalg.norm(self.blocks[:, : self.m, self.m:], 2, axis=(1, 2))
-        best = 0.0
-        for i in range(1, self.n_nodes):
-            start = self._index(i, 0)
-            vals = norms[start:start + i + 1]
-            best = max(best, float(quadrature.integrate(vals, self.time_grid[: i + 1])))
-        return best
+        if self._duhamel is None:
+            from . import quadrature
+            norms = np.linalg.norm(self.blocks[:, : self.m, self.m:], 2,
+                                   axis=(1, 2))
+            best = 0.0
+            for i in range(1, self.n_nodes):
+                start = self._index(i, 0)
+                vals = norms[start:start + i + 1]
+                best = max(best, float(quadrature.integrate(
+                    vals, self.time_grid[: i + 1])))
+            self._duhamel = best
+        return self._duhamel
+
+    def first_column_bounds(self):
+        """(M1, M2): the largest 2-norms of C(t_i, 0) and S(t_i, 0)."""
+        if self._first_column is None:
+            m = self.m
+            first = self.blocks[self._index(np.arange(self.n_nodes), 0)]
+            self._first_column = tuple(
+                float(np.linalg.norm(first[:, : m, c], 2, axis=(1, 2)).max())
+                for c in (slice(None, m), slice(m, None)))
+        return self._first_column
 
 
 def fundamental_solution(op, grid, h=1e-3, validate=True):
@@ -269,6 +288,7 @@ def fundamental_solution(op, grid, h=1e-3, validate=True):
                 time=float(grid[j]))
         row[j - 1] = phi
         row[j] = np.eye(n2)
+    blocks.flags.writeable = False
     return fs
 
 
@@ -339,37 +359,41 @@ def check_axioms(fs, op, fd_delta=5e-5):
             lip_s = max(lip_s, np.linalg.norm(fs.S(i + 1, j) - fs.S(i, j), 2) / dt)
             lip_c = max(lip_c, np.linalg.norm(fs.C(i + 1, j) - fs.C(i, j), 2) / dt)
 
+    def worst(stack):
+        return float(np.linalg.norm(stack, 2, axis=(1, 2)).max())
+
+    # composition E(t_i,t_k)E(t_k,s_j) = E(t_i,s_j) over all j <= k at once;
+    # (S4), C(t,r)S(r,s) + S(t,r)dS(r,s) = S(t,s), is the upper-right
+    # quadrant of the same product
     comp = 0.0
     s4 = 0.0
     for i in range(N):
+        row_i = fs.row(i)
         for k in range(i + 1):
-            Eik = fs.E(i, k)
-            for j in range(k + 1):
-                comp = max(comp, np.linalg.norm(Eik @ fs.E(k, j) - fs.E(i, j), 2))
-                s4 = max(s4, np.linalg.norm(
-                    fs.C(i, k) @ fs.S(k, j) + fs.S(i, k) @ fs.dS(k, j)
-                    - fs.S(i, j), 2))
+            defect = fs.E(i, k) @ fs.row(k) - row_i[:k + 1]
+            comp = max(comp, worst(defect))
+            s4 = max(s4, worst(defect[:, :m, m:]))
 
-    # (S2)(a) and its C-block analogue, by +-delta refinement in t
+    # (S2)(a) and its C-block analogue, by +-delta refinement in t: the
+    # short maps E(t +- delta, t) act on the whole row of blocks at t
     d = fd_delta
     s2a = 0.0
     s3a = 0.0
     for i in range(N):
-        for j in range(i + 1):
-            E0 = fs.E(i, j)
-            t = grid[i]
-            Ep = _span(op, t, t + d, E0.copy(), d, check_every_step=False)
-            Em = _span(op, t, t - d, E0.copy(), d, check_every_step=False)
-            A = np.asarray(op.a_of_t(t))
-            B = np.asarray(op.b_of_t(t)) if damped else None
-            dd = (Ep + Em - 2.0 * E0) / d ** 2
-            res_s = dd[:m, m:] + A @ E0[:m, m:]
-            res_c = dd[:m, :m] + A @ E0[:m, :m]
-            if damped:
-                res_s = res_s + B @ E0[m:, m:]
-                res_c = res_c + B @ E0[m:, :m]
-            s2a = max(s2a, np.linalg.norm(res_s, 2))
-            s3a = max(s3a, np.linalg.norm(res_c, 2))
+        t = grid[i]
+        E0 = fs.row(i)
+        Ep = _transition(op, t, t + d, d) @ E0
+        Em = _transition(op, t, t - d, d) @ E0
+        A = np.asarray(op.a_of_t(t))
+        dd = (Ep + Em - 2.0 * E0) / d ** 2
+        res_s = dd[:, :m, m:] + A @ E0[:, :m, m:]
+        res_c = dd[:, :m, :m] + A @ E0[:, :m, :m]
+        if damped:
+            B = np.asarray(op.b_of_t(t))
+            res_s = res_s + B @ E0[:, m:, m:]
+            res_c = res_c + B @ E0[:, m:, :m]
+        s2a = max(s2a, worst(res_s))
+        s3a = max(s3a, worst(res_c))
 
     # s-side identities: perturbed blocks E(t, s +- delta) are obtained by
     # composing the stored global block with short transition maps
@@ -481,5 +505,6 @@ def load_fs(path):
                 f"needs exactly {expected}")
         grid = np.fromfile(fh, dtype="<f8", count=n)
         blocks = np.fromfile(fh, dtype="<f8", count=p * 4 * m * m)
+    blocks.flags.writeable = False
     return FundamentalSolution(grid, m, "damped" if kind_b else "undamped",
                                blocks.reshape(p, 2 * m, 2 * m), h)

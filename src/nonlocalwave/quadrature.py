@@ -32,9 +32,10 @@ def require_uniform(x, tol=1e-9):
 def composite_weights(x):
     """Quadrature weights w with sum(w * f(x)) ~ integral of f over x.
 
-    Memoised on the nodes themselves, so the representation formula can ask
-    for the weights of every sub-grid on every evaluation at the cost of a
-    lookup; the returned array is read-only.
+    Memoised on the nodes themselves, so the kernel quadrature, which asks
+    for the weights of the same trajectory grid on every fixed-point
+    iteration, and ``duhamel_bound``'s prefix integrals pay a lookup after
+    the first call; the returned array is read-only.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:

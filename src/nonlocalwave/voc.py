@@ -5,11 +5,14 @@ The representation path evaluates
 
     u(t) = C(t,0) u0 + S(t,0) u1 + int_0^t S(t,s) f(s) ds
 
-(with v1, v2 for damped problems) using tabulated blocks and composite
-quadrature on the fundamental-solution grid; velocities come from the
-derivative blocks, never from differencing the u-track.  The oracle path
-integrates the full inhomogeneous block system with the same one-step
-method but no tables, giving an independent cross-check.
+(with v1, v2 for damped problems) on the fundamental-solution grid as a
+recurrence over the interval maps Phi_i = E(t_i, t_{i-1}): the homogeneous
+state and a composite-Simpson accumulator are advanced one interval at a
+time, so one evaluation costs O(N m^2) and reads only the blocks E(t_i, t_j)
+with i - j <= 3.  Velocities come from the derivative blocks, never from
+differencing the u-track.  The oracle path integrates the full inhomogeneous
+block system with the same one-step method but no tables, giving an
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -67,8 +70,7 @@ def single_interval_duhamel(fs, op, i, j0, F, dt):
     derivative correction restores smooth O(dt^5) startup error.  The
     s-derivative of S comes from the backward identity dE/ds = -E G(s).
     """
-    m = fs.m
-    q0 = fs.S(i, j0) @ F[j0]                      # S(t_i, t_i) F = 0 at s = t_i
+    q0 = fs.S(i, j0) @ F[j0]                     # S(t_i, t_i) F = 0 at s = t_i
     if j0 + 2 < F.shape[0]:
         fp0 = (-3.0 * F[j0] + 4.0 * F[j0 + 1] - F[j0 + 2]) / (2.0 * dt)
     else:
@@ -82,37 +84,62 @@ def single_interval_duhamel(fs, op, i, j0, F, dt):
 
 
 def representation(fs, op, x0, y0, F, start=0, stop=None, u=None, v=None):
-    """u/v tracks of the representation formula on nodes start..stop.
+    """u/v tracks of the representation formula on nodes a..b = start..stop.
 
-    The data (x0, y0) are frozen at t_start; F holds f-samples on the full
-    fs grid (None for a homogeneous problem).  The Duhamel sum runs over
-    [t_start, t_i] with composite weights on that subrange and the
-    endpoint-corrected startup rule on the first interval.  Rows of ``u``
-    and ``v`` outside start..stop are left untouched.
+    The data (x0, y0) are frozen at t_a; F holds f-samples on the full fs
+    grid (None for a homogeneous problem).  With Z_j = (0, F_j), k = i - a and
+    the window's uniform step h, the state X_i = Phi_i X_{i-1} carries the
+    homogeneous part and the accumulator acc_i = Phi_i acc_{i-1} + c_k Z_i
+    (acc_a = Z_a, c_k = 4 for odd k, 2 for even k) carries the composite-
+    Simpson Duhamel sum over [t_a, t_i]:
+
+    * k = 1: the endpoint-corrected startup rule for u, a trapezoid for v;
+    * even k: Simpson, (h/3)(acc_i - Z_i);
+    * odd k >= 3: Simpson up to t_{i-3}, carried by E(t_i, t_{i-3}), then
+      one closing 3/8 panel on the last three intervals.
+
+    Each node costs a few (2m x 2m) mat-vecs, and only the blocks
+    E(t_i, t_j) with i - j <= 3 are read.  A forced window must be uniform.
+    Rows of ``u`` and ``v`` outside start..stop are left untouched.
     """
     m = fs.m
     grid = fs.time_grid
-    stop = grid.size - 1 if stop is None else stop
+    a = start
+    b = grid.size - 1 if stop is None else stop
     if u is None:
         dt = np.result_type(x0, y0, float if F is None else F)
         u = np.empty((grid.size, m), dtype=dt)
         v = np.empty((grid.size, m), dtype=dt)
-    for i in range(start, stop + 1):
-        E0 = fs.E(i, start)
-        uu = E0[:m, :m] @ x0 + E0[:m, m:] @ y0
-        vv = E0[m:, :m] @ x0 + E0[m:, m:] @ y0
-        if F is not None and i > start:
-            w = quadrature.composite_weights(grid[start: i + 1])
-            wF = w[:, None] * F[start: i + 1]
-            row = fs.row(i)[start:]
-            if i - start == 1:
-                uu = uu + single_interval_duhamel(fs, op, i, start, F,
-                                                  grid[i] - grid[start])
-            else:
-                uu = uu + np.einsum("jab,jb->a", row[:, :m, m:], wF)
-            vv = vv + np.einsum("jab,jb->a", row[:, m:, m:], wF)
-        u[i] = uu
-        v[i] = vv
+    X = np.concatenate([x0, y0])
+    u[a], v[a] = X[:m], X[m:]
+    forced = F is not None and b > a
+    if forced:
+        h = quadrature.require_uniform(grid[a:b + 1])
+        Z = np.zeros((b - a + 1, 2 * m), dtype=np.result_type(F, float))
+        Z[:, m:] = F[a:b + 1]
+        acc = np.empty_like(Z)
+        acc[0] = Z[0]
+    for k in range(1, b - a + 1):
+        i = a + k
+        phi = fs.E(i, i - 1)
+        X = phi @ X
+        if not forced:
+            u[i], v[i] = X[:m], X[m:]
+            continue
+        acc[k] = phi @ acc[k - 1] + (4.0 if k % 2 else 2.0) * Z[k]
+        if k == 1:
+            duh = 0.5 * h * (phi @ Z[0] + Z[1])
+            duh[:m] = single_interval_duhamel(fs, op, i, a, F, h)
+        elif k % 2 == 0:
+            duh = h / 3.0 * (acc[k] - Z[k])
+        else:
+            j = k - 3
+            duh = (fs.E(i, i - 3) @ (h / 3.0 * (acc[j] - Z[j])
+                                     + 3.0 * h / 8.0 * Z[j])
+                   + 9.0 * h / 8.0 * (fs.E(i, i - 2) @ Z[k - 2]
+                                      + phi @ Z[k - 1])
+                   + 3.0 * h / 8.0 * Z[k])
+        u[i], v[i] = X[:m] + duh[:m], X[m:] + duh[m:]
     return u, v
 
 

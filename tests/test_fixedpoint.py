@@ -287,3 +287,41 @@ def test_galerkin_refine_marks_failed_levels(harmonic_setup):
     table = nlw.galerkin_refine(solve_level, [1, 2])
     assert not table.rows[0].converged
     assert np.isnan(table.rows[0].traj_diff)
+
+
+def test_block_bounds_computed_once_per_table(diag_fs):
+    from nonlocalwave.fixedpoint import _block_bounds
+    first = _block_bounds(diag_fs)
+    second = _block_bounds(diag_fs)
+    assert first == second and all(isinstance(x, float) for x in first)
+    fresh = nlw.FundamentalSolution(diag_fs.time_grid, diag_fs.m,
+                                    diag_fs.kind, diag_fs.blocks, diag_fs.h)
+    assert _block_bounds(fresh) == first
+    # the definitions: sup_t ||C(t,0)||, sup_t ||S(t,0)||, M_{2,T}
+    N = diag_fs.n_nodes
+    assert first[0] == max(np.linalg.norm(diag_fs.C(i, 0), 2) for i in range(N))
+    assert first[1] == max(np.linalg.norm(diag_fs.S(i, 0), 2) for i in range(N))
+
+
+def test_galerkin_fs_action_matches_per_pair_loop():
+    grid = np.linspace(0.0, 1.0, 9)
+    rng = np.random.default_rng(2)
+    sym = 0.3 * rng.standard_normal((4, 4))
+    full = np.diag([1.0, 3.0, 5.0, 8.0]) + sym @ sym.T
+
+    def solve_level(m):
+        op = nlw.undamped_operator(lambda t, _A=full[:m, :m]: (1 + t) * _A, m)
+        fs = nlw.fundamental_solution(op, grid, h=1e-3)
+        return nlw.fixedpoint.RefinementLevel(
+            m, None, fs, nlw.zero_trajectory(grid, m), None)
+
+    table = nlw.galerkin_refine(solve_level, [2, 4], probe_count=3,
+                                rng=np.random.default_rng(9))
+    coarse, fine = solve_level(2).fs, solve_level(4).fs
+    ys = np.random.default_rng(9).standard_normal((3, 4))
+    ys /= np.linalg.norm(ys, axis=1, keepdims=True)
+    expect = max(
+        np.linalg.norm(fine.S(i, j) @ y
+                       - np.concatenate([coarse.S(i, j) @ y[:2], [0, 0]]))
+        for y in ys for i in range(grid.size) for j in range(i + 1))
+    assert table.rows[0].fs_action_diff == pytest.approx(expect, rel=1e-13)

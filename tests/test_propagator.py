@@ -4,6 +4,7 @@ from scipy.integrate import solve_ivp
 
 import nonlocalwave as nlw
 from nonlocalwave import ConfigurationError
+from nonlocalwave.propagator import _span
 
 
 def scalar_op(a, b=None):
@@ -263,3 +264,71 @@ def test_propagation_failure_carries_position():
     op = scalar_op(lambda t: -30.0)   # exponential blow-up
     with pytest.raises(nlw.PropagationError):
         nlw.propagate(op, 0.0, 300.0, np.array([1e300, 1e300]), h=0.1)
+
+
+def test_tables_are_read_only(tmp_path, diag_fs):
+    with pytest.raises(ValueError):
+        diag_fs.blocks[0, 0, 0] = 1.0
+    path = tmp_path / "fs.bin"
+    nlw.dump_fs(diag_fs, path)
+    back = nlw.load_fs(path)
+    with pytest.raises(ValueError):
+        back.blocks[-1] += 1.0
+    # a dump of the loaded (read-only) table is byte-identical
+    again = tmp_path / "again.bin"
+    nlw.dump_fs(back, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def per_pair_axioms(fs, op, d=5e-5):
+    """Composition, (S4), (S2)(a) and its C analogue, one pair at a time."""
+    grid, m, N = fs.time_grid, fs.m, fs.n_nodes
+    comp = s4 = s2a = s3a = 0.0
+    for i in range(N):
+        for k in range(i + 1):
+            for j in range(k + 1):
+                comp = max(comp, np.linalg.norm(
+                    fs.E(i, k) @ fs.E(k, j) - fs.E(i, j), 2))
+                s4 = max(s4, np.linalg.norm(
+                    fs.C(i, k) @ fs.S(k, j) + fs.S(i, k) @ fs.dS(k, j)
+                    - fs.S(i, j), 2))
+    for i in range(N):
+        t = grid[i]
+        A = np.asarray(op.a_of_t(t))
+        for j in range(i + 1):
+            E0 = fs.E(i, j)
+            Ep = _span(op, t, t + d, E0.copy(), d)
+            Em = _span(op, t, t - d, E0.copy(), d)
+            dd = (Ep + Em - 2.0 * E0) / d ** 2
+            res_s = dd[:m, m:] + A @ E0[:m, m:]
+            res_c = dd[:m, :m] + A @ E0[:m, :m]
+            if op.b_of_t is not None:
+                B = np.asarray(op.b_of_t(t))
+                res_s = res_s + B @ E0[m:, m:]
+                res_c = res_c + B @ E0[m:, :m]
+            s2a = max(s2a, np.linalg.norm(res_s, 2))
+            s3a = max(s3a, np.linalg.norm(res_c, 2))
+    return comp, s4, s2a, s3a
+
+
+@pytest.mark.parametrize("damped", [False, True])
+def test_batched_axioms_match_per_pair_loop(damped):
+    rng = np.random.default_rng(8)
+    m = 3
+    base = np.diag(rng.uniform(0.5, 4.0, m))
+    sym = 0.1 * rng.standard_normal((m, m))
+    a_of_t = lambda t: base + np.cos(t) * (sym + sym.T)
+    op = (nlw.damped_operator(a_of_t, lambda t: (0.2 + 0.1 * t) * np.eye(m), m)
+          if damped else nlw.undamped_operator(a_of_t, m))
+    fs = nlw.fundamental_solution(op, np.linspace(0.0, 1.0, 9), h=1e-3)
+    # at m = 3 the default delta's s2a/s3a are rounding amplified by
+    # 1/delta^2 (the two orders of summation differ by up to 60%); a larger
+    # delta makes the finite-difference defect, not rounding, the measured
+    # quantity
+    d = 2e-3
+    rep = nlw.check_axioms(fs, op, fd_delta=d)
+    comp, s4, s2a, s3a = per_pair_axioms(fs, op, d)
+    assert abs(rep.composition_defect - comp) < 1e-13
+    assert abs(rep.s4_defect - s4) < 1e-13
+    assert rep.s2a_defect == pytest.approx(s2a, rel=1e-5)
+    assert rep.s3a_defect == pytest.approx(s3a, rel=1e-5)

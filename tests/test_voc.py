@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import nonlocalwave as nlw
-from nonlocalwave import ConfigurationError, voc
+from nonlocalwave import ConfigurationError, quadrature, voc
 from nonlocalwave.fixedpoint import gronwall_radius
 
 
@@ -225,3 +225,120 @@ def test_residual_semilinear_right_side(harmonic_fs):
     r = nlw.residual(traj, op, lambda t, u: u - np.cos(t) + np.cos(t) * u * 0)
     r2 = nlw.residual(traj, op, lambda t: np.array([0.0]))
     assert abs(r.equation - r2.equation) < 1e-12
+
+
+def random_family(kind, m=3, nodes=31, seed=5):
+    """A random smooth operator of either kind and its table on [0, 1]."""
+    rng = np.random.default_rng(seed)
+    base = np.diag(rng.uniform(0.5, 6.0, m))
+    sym = rng.standard_normal((m, m)) * 0.2
+    sym = 0.5 * (sym + sym.T)
+    a_of_t = lambda t: base + np.sin(1.3 * t) * sym
+    if kind == "undamped":
+        op = nlw.undamped_operator(a_of_t, m)
+    else:
+        damp = np.diag(rng.uniform(0.1, 0.8, m))
+        op = nlw.damped_operator(a_of_t, lambda t: damp * (1.0 + 0.5 * t), m)
+    grid = np.linspace(0.0, 1.0, nodes)
+    return op, nlw.fundamental_solution(op, grid, h=1e-3)
+
+
+def windowed_sum(fs, op, x0, y0, F, a, b):
+    """The O(N^2) formula: composite weights on every sub-grid [t_a, t_i],
+    summed over the stored blocks E(t_i, s_j), j = a..i."""
+    m = fs.m
+    grid = fs.time_grid
+    u = np.zeros((b - a + 1, m), dtype=complex)
+    v = np.zeros_like(u)
+    for i in range(a, b + 1):
+        E0 = fs.E(i, a)
+        u[i - a] = E0[:m, :m] @ x0 + E0[:m, m:] @ y0
+        v[i - a] = E0[m:, :m] @ x0 + E0[m:, m:] @ y0
+        if F is None or i == a:
+            continue
+        w = quadrature.composite_weights(grid[a:i + 1])
+        wF = w[:, None] * F[a:i + 1]
+        blocks = np.stack([fs.E(i, j) for j in range(a, i + 1)])
+        if i - a == 1:
+            u[i - a] += voc.single_interval_duhamel(fs, op, i, a, F,
+                                                    grid[i] - grid[a])
+        else:
+            u[i - a] += np.einsum("jab,jb->a", blocks[:, :m, m:], wF)
+        v[i - a] += np.einsum("jab,jb->a", blocks[:, m:, m:], wF)
+    return u, v
+
+
+@pytest.mark.parametrize("kind", ["undamped", "damped"])
+@pytest.mark.parametrize("data", ["real", "complex", "homogeneous"])
+def test_recurrence_matches_windowed_sum(kind, data):
+    op, fs = random_family(kind)
+    m, N = fs.m, fs.n_nodes
+    rng = np.random.default_rng(3)
+    x0, y0 = rng.standard_normal(m), rng.standard_normal(m)
+    F = rng.standard_normal((N, m))
+    if data == "complex":
+        x0 = x0 + 1j * rng.standard_normal(m)
+        F = F + 1j * rng.standard_normal((N, m))
+    elif data == "homogeneous":
+        F = None
+    for a in (0, 1, 17):
+        for b in (a + 1, a + 2, a + 3, a + 4, a + 5, N - 1):
+            u, v = voc.representation(fs, op, x0, y0, F, start=a, stop=b)
+            ref_u, ref_v = windowed_sum(fs, op, x0, y0, F, a, b)
+            for got, ref in ((u[a:b + 1], ref_u), (v[a:b + 1], ref_v)):
+                err = np.abs(got - ref).max() / np.abs(ref).max()
+                assert err < 1e-12, (a, b, err)
+
+
+def test_recurrence_writes_only_its_window():
+    op, fs = random_family("damped")
+    m, N = fs.m, fs.n_nodes
+    rng = np.random.default_rng(4)
+    F = rng.standard_normal((N, m))
+    u = np.full((N, m), np.nan)
+    v = np.full((N, m), np.nan)
+    voc.representation(fs, op, np.ones(m), np.zeros(m), F, start=5, stop=12,
+                       u=u, v=v)
+    assert np.all(np.isfinite(u[5:13])) and np.all(np.isfinite(v[5:13]))
+    assert np.all(np.isnan(u[:5])) and np.all(np.isnan(u[13:]))
+    assert np.all(np.isnan(v[:5])) and np.all(np.isnan(v[13:]))
+
+
+class RecordingFamily(nlw.FundamentalSolution):
+    """A table that records every block read and forbids whole rows."""
+
+    def __init__(self, fs):
+        super().__init__(fs.time_grid, fs.m, fs.kind, fs.blocks, fs.h)
+        self.reads = []
+
+    def E(self, i, j):
+        self.reads.append((i, j))
+        return super().E(i, j)
+
+    def row(self, i):
+        raise AssertionError("the representation must not read table rows")
+
+
+@pytest.mark.parametrize("kind", ["undamped", "damped"])
+def test_recurrence_reads_only_near_diagonal_blocks(kind):
+    op, fs = random_family(kind)
+    rec = RecordingFamily(fs)
+    m, N = fs.m, fs.n_nodes
+    F = np.random.default_rng(6).standard_normal((N, m))
+    for a in (0, 17):
+        voc.representation(rec, op, np.ones(m), np.ones(m), F, start=a)
+    assert rec.reads
+    assert max(i - j for i, j in rec.reads) <= 3
+
+
+def test_representation_rejects_nonuniform_window():
+    op = scalar_op(1.0)
+    grid = np.array([0.0, 0.1, 0.2, 0.35, 0.5, 0.6])
+    fs = nlw.fundamental_solution(op, grid, h=1e-3)
+    F = np.ones((grid.size, 1))
+    with pytest.raises(ConfigurationError):
+        voc.representation(fs, op, np.ones(1), np.zeros(1), F)
+    # a uniform sub-window of the same table is accepted
+    u, _ = voc.representation(fs, op, np.ones(1), np.zeros(1), F,
+                              start=0, stop=2)
+    assert np.all(np.isfinite(u[:3]))
