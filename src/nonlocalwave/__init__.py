@@ -9,8 +9,8 @@ from .spectral import (SpatialDomain, SpectralBasis, Trajectory, build_basis,
 from .forms import (CoefficientField, FormCertificate, FormSpec,
                     KernelConstants, OperatorMatrix, assemble,
                     assemble_damping, build_Am, certify, certify_operator,
-                    coefficient_field, kernel_lipschitz, returned_adjoint,
-                    stiffness_supplier, damping_supplier)
+                    coefficient_field, kernel_lipschitz, stiffness_supplier,
+                    damping_supplier)
 from .propagator import (AxiomReport, BlockOperator, FundamentalSolution,
                          adjoint_check, adjoint_defect, check_axioms,
                          damped_operator, dump_fs, fundamental_solution,

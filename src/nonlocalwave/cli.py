@@ -28,6 +28,7 @@ AXIOM_THRESHOLDS = {
     "s2b_defect": 1e-5,
     "s4_defect": 1e-6,
     "composition_defect": 1e-6,
+    "adjoint_defect": 1e-6,
 }
 
 _MAX_M = 512

@@ -29,13 +29,16 @@ from .spectral import Trajectory, project, zero_trajectory
 
 @dataclass
 class NonlocalKernel:
-    """g(u) = int_0^T kappa(s, .) u(s, .) ds + offset."""
+    """g(u) = int_0^T kappa(s, .) u(s, .) ds + offset.
+
+    ``evaluator(s, x, y)`` takes a scalar time or an (N, 1) column of times
+    and returns values that broadcast against ``x``, to (N, Q) for a column.
+    """
 
     evaluator: Callable          # (s, x, y) -> values
     horizon: float
     offset: object = None        # spatial callable/Expression/coeff array/None
     expression: Expression | None = None
-    offset_source: str | None = None
 
     def offset_coeffs(self, basis):
         if self.offset is None:
@@ -58,18 +61,20 @@ def nonlocal_kernel(expr, horizon, offset=None):
     if callable(expr) and not isinstance(expr, (Expression, str)):
         return NonlocalKernel(lambda s, x, y=None: expr(s, x, y), horizon, offset)
     e = as_expression(expr)
-    off = offset
-    off_src = None
     if isinstance(offset, (str, Expression)):
-        off = as_expression(offset)
-        off_src = off.source
+        offset = as_expression(offset)
     return NonlocalKernel(
         lambda s, x, y=None: e(t=s, x=x, y=0.0 if y is None else y),
-        horizon, off, expression=e, offset_source=off_src)
+        horizon, offset, expression=e)
 
 
 def apply_kernel(kernel, traj, basis):
-    """Composite time quadrature of kappa(s,.) u(s,.), projected, plus offset."""
+    """Composite time quadrature of kappa(s,.) u(s,.), projected, plus offset.
+
+    The kernel is sampled once on the whole (N, 1) time column against the
+    spatial quadrature nodes, so g(u) = P(sum_i w_i kappa(s_i, .) u(s_i, .))
+    is one (N, Q) product, one weighted sum and one projection.
+    """
     grid = traj.grid
     if grid.size < 5:
         raise ConfigurationError(
@@ -77,19 +82,9 @@ def apply_kernel(kernel, traj, basis):
     if abs(grid[0]) > 1e-12 or abs(grid[-1] - kernel.horizon) > 1e-9:
         raise ConfigurationError("trajectory must cover [0, T] of the kernel")
     w = quadrature.composite_weights(grid)
-    expr = kernel.expression
-    if expr is not None and not (expr.depends_on("x") or expr.depends_on("y")):
-        scal = np.array([float(expr(t=s)) for s in grid])
-        integ = (w * scal)[:, None] * traj.u
-        return integ.sum(axis=0) + kernel.offset_coeffs(basis)
-    out = np.zeros(basis.m)
-    for i, s in enumerate(grid):
-        vals = np.broadcast_to(
-            np.asarray(kernel.evaluator(s, basis.nodes_x, basis.nodes_y),
-                       dtype=float), basis.nodes_x.shape)
-        K = (basis.eval_table * (basis.weights * vals)) @ basis.eval_table.T
-        out += w[i] * (K @ traj.u[i])
-    return out + kernel.offset_coeffs(basis)
+    kappa = kernel.evaluator(grid[:, None], basis.nodes_x, basis.nodes_y)
+    return (project(basis, w @ (kappa * basis.evaluate(traj.u)))
+            + kernel.offset_coeffs(basis))
 
 
 @dataclass
@@ -98,6 +93,12 @@ class Nonlinearity:
 
     ``kind`` is 'lipschitz' (uniformly Lipschitz in u, constant L) or
     'growth' (sublinear growth |f(t,u)| <= a |u| + b(t)).
+
+    Every time-dependent callable here takes ``t`` either as a scalar or as
+    an (N, 1) column of times that broadcasts: ``evaluator(t, U)`` maps
+    ``U`` of shape (m,) or (N, m) to values of the same shape, one row per
+    time, and ``growth_b(t)`` returns a number, or for a column an array
+    that broadcasts to (N, 1).  A whole trajectory is thus one call.
     """
 
     evaluator: Callable           # (t, coeffs) -> coeffs
@@ -118,8 +119,20 @@ class Nonlinearity:
         if self.kind == "growth":
             return self.growth_a, self.growth_b
         L = self.lipschitz or 0.0
-        zero = np.zeros(m)
-        return L, lambda t: float(np.linalg.norm(self.evaluator(t, zero)))
+        return L, lambda t: _row_norms(
+            self.evaluator(t, np.zeros(np.shape(t)[:-1] + (m,))), t)
+
+
+def _row_norms(values, t):
+    """H-norms of f-values at a scalar t, or per row, as a column, at an
+    (N, 1) column t."""
+    return np.linalg.norm(values, axis=-1, keepdims=np.ndim(t) > 0)
+
+
+def _b_samples(b, grid):
+    """b(t) at every grid node, one call on the time column; shape (N,)."""
+    col = grid[:, None]
+    return np.broadcast_to(b(col), col.shape)[:, 0]
 
 
 def zero_nonlinearity():
@@ -135,7 +148,11 @@ def linear_nonlinearity(rho):
 
 def pointwise_nonlinearity(basis, fn, kind, growth_a=None, lipschitz=None,
                            name="custom", growth_b=None):
-    """Superposition f(t,u)(x) = fn(t, u(x)) realised through quadrature."""
+    """Superposition f(t,u)(x) = fn(t, u(x)) realised through quadrature.
+
+    ``fn(t, vals)`` receives node values of shape (Q,) or (N, Q) and a
+    scalar or (N, 1) time column that broadcasts against them.
+    """
     def evaluator(t, coeffs):
         return project(basis, fn(t, basis.evaluate(coeffs)))
     return Nonlinearity(evaluator, kind, growth_a=growth_a or 0.0,
@@ -143,13 +160,17 @@ def pointwise_nonlinearity(basis, fn, kind, growth_a=None, lipschitz=None,
 
 
 def with_extra_forcing(nl, extra, extra_b=None):
-    """Add a time-dependent forcing term (manufactured-solution hook)."""
+    """Add a time-dependent forcing term (manufactured-solution hook).
+
+    ``extra(t)`` (and ``extra_b(t)``) follow the time-column contract of
+    :class:`Nonlinearity`: coefficients of shape (m,) or (N, m).
+    """
     def evaluator(t, coeffs):
         return nl.evaluator(t, coeffs) + extra(t)
     base_b = nl.growth_b
 
     def growth_b(t):
-        add = extra_b(t) if extra_b is not None else float(np.linalg.norm(extra(t)))
+        add = extra_b(t) if extra_b is not None else _row_norms(extra(t), t)
         return base_b(t) + add
     return Nonlinearity(evaluator, nl.kind, growth_a=nl.growth_a,
                         growth_b=growth_b, lipschitz=nl.lipschitz,
@@ -161,11 +182,8 @@ def growth_excess(nl, traj, values=None):
     a, b = nl.ball_growth(traj.m)
     if values is None:
         values = superpose(nl, traj)
-    worst = 0.0
-    for i, t in enumerate(traj.grid):
-        bound = a * float(np.linalg.norm(traj.u[i])) + float(b(t))
-        worst = max(worst, float(np.linalg.norm(values[i])) - bound)
-    return worst
+    bound = a * np.linalg.norm(traj.u, axis=1) + _b_samples(b, traj.grid)
+    return max(0.0, float(np.max(np.linalg.norm(values, axis=1) - bound)))
 
 
 def validate_growth(nl, m, horizon, rng, probes=20, radius=2.0, tol=1e-9):
@@ -185,9 +203,9 @@ def validate_growth(nl, m, horizon, rng, probes=20, radius=2.0, tol=1e-9):
 
 
 def superpose(nl, traj):
-    """Pointwise-in-time application N_f(u)(t) = f(t, u(t)); rows per node."""
-    return np.array([nl.evaluator(t, traj.u[i])
-                     for i, t in enumerate(traj.grid)])
+    """Pointwise-in-time application N_f(u)(t) = f(t, u(t)): one evaluator
+    call on the (N, 1) time column and the (N, m) coefficient rows."""
+    return nl.evaluator(traj.grid[:, None], traj.u)
 
 
 def gronwall_radius(m1, m2, r1, r2, b_l1, a, horizon):
@@ -308,12 +326,13 @@ def _finalise(problem, fs, w, report, cfg, sup_w, r1, r2):
     y = apply_kernel(problem.kernel_h, w, problem.basis)
     report.residual_ic_u = float(np.linalg.norm(w.u[0] - x))
     report.residual_ic_v = float(np.linalg.norm(w.v[0] - y))
-    res = voc.residual(w, problem.op,
-                       rhs=lambda t, u: problem.nonlinearity.evaluator(t, u))
-    report.residual_equation = res.equation
-    a, b = problem.nonlinearity.ball_growth(fs.m)
-    b_l1 = float(quadrature.integrate(
-        np.array([abs(b(t)) for t in fs.time_grid]), fs.time_grid))
+    nl = problem.nonlinearity
+    F = superpose(nl, w)
+    report.residual_equation = voc.residual(w, problem.op, F).equation
+    report.growth_excess = growth_excess(nl, w, F)
+    a, b = nl.ball_growth(fs.m)
+    b_l1 = float(quadrature.integrate(np.abs(_b_samples(b, fs.time_grid)),
+                                      fs.time_grid))
     report.r1, report.r2 = max(r1, float(np.linalg.norm(x))), \
         max(r2, float(np.linalg.norm(y)))
     report.gronwall_radius = gronwall_radius(
@@ -405,7 +424,6 @@ def contraction_solve(problem, fs, cfg=None):
         if upd < cfg.tol:
             report.converged = True
             break
-    report.growth_excess = growth_excess(problem.nonlinearity, w)
     _finalise(problem, fs, w, report, cfg, sup_w, r1, r2)
     if not report.converged:
         report.message += " | no convergence within max_iter"
@@ -517,7 +535,6 @@ def relaxed_solve(problem, fs, cfg=None):
         converged = True
 
     report.converged = converged
-    report.growth_excess = growth_excess(problem.nonlinearity, w)
     _finalise(problem, fs, w, report, cfg, sup_w, r1, r2)
     if not converged:
         raise NonconvergenceError("relaxed iteration did not converge",

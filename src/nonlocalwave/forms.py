@@ -366,25 +366,3 @@ def kernel_lipschitz(kernel, basis, time_samples=129):
         float(np.sqrt(np.sum(w * sup_grad ** 2))),
     )
 
-
-def time_reversed(field, horizon):
-    """Coefficient of the returned adjoint form: value at T - t."""
-    if field is None:
-        return None
-    return CoefficientField(
-        field.symbol, lambda t, x, y=None: field.evaluator(horizon - t, x, y),
-        field.lower, field.upper,
-        source=None if field.source is None else f"reversed[{field.source}]")
-
-
-def returned_adjoint(form):
-    """The returned adjoint form a_r(t; u, v) = conj a(T - t; v, u).
-
-    Coefficients here are real scalars, so reversal in time is all that is
-    required; the fundamental solution of the result realises the adjoint of
-    the original via S(t,s)* = S_r(T-s, T-t).
-    """
-    T = form.horizon
-    return FormSpec(time_reversed(form.gradient_coef, T),
-                    time_reversed(form.zeroth_coef, T),
-                    time_reversed(form.damping_coef, T), T)

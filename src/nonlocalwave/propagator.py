@@ -342,25 +342,23 @@ def check_axioms(fs, op, fd_delta=5e-5):
     eye = np.eye(m)
     damped = fs.kind == "damped"
 
-    s1 = 0.0
-    for i in range(N):
-        s1 = max(s1,
-                 np.linalg.norm(fs.S(i, i), 2),
-                 np.linalg.norm(fs.C(i, i) - eye, 2),
-                 np.linalg.norm(fs.dS(i, i) - eye, 2),
-                 np.linalg.norm(fs.dC(i, i), 2))
+    def worst(stack):
+        return float(np.linalg.norm(stack, 2, axis=(1, 2)).max())
+
+    diag = fs.blocks[fs._index(np.arange(N), np.arange(N))]
+    s1 = max(worst(diag[:, :m, m:]), worst(diag[:, :m, :m] - eye),
+             worst(diag[:, m:, m:] - eye), worst(diag[:, m:, :m]))
 
     sup = fs.sup_norms()
 
+    # empirical Lipschitz constants: E(t_{i+1}, s_j) - E(t_i, s_j) for every
+    # j <= i at once
     lip_s = lip_c = 0.0
-    for j in range(N - 1):
-        for i in range(j, N - 1):
-            dt = grid[i + 1] - grid[i]
-            lip_s = max(lip_s, np.linalg.norm(fs.S(i + 1, j) - fs.S(i, j), 2) / dt)
-            lip_c = max(lip_c, np.linalg.norm(fs.C(i + 1, j) - fs.C(i, j), 2) / dt)
-
-    def worst(stack):
-        return float(np.linalg.norm(stack, 2, axis=(1, 2)).max())
+    for i in range(N - 1):
+        diff = fs.row(i + 1)[:i + 1] - fs.row(i)
+        dt = grid[i + 1] - grid[i]
+        lip_s = max(lip_s, worst(diff[:, :m, m:]) / dt)
+        lip_c = max(lip_c, worst(diff[:, :m, :m]) / dt)
 
     # composition E(t_i,t_k)E(t_k,s_j) = E(t_i,s_j) over all j <= k at once;
     # (S4), C(t,r)S(r,s) + S(t,r)dS(r,s) = S(t,s), is the upper-right
@@ -398,38 +396,36 @@ def check_axioms(fs, op, fd_delta=5e-5):
     # s-side identities: perturbed blocks E(t, s +- delta) are obtained by
     # composing the stored global block with short transition maps
     # E(s, s +- delta), the s-direction analogue of the refinement above;
-    # their global consistency is covered by the composition defect.
+    # their global consistency is covered by the composition defect.  The
+    # maps are stacked per node s_j once, so row i is one batched matmul
+    # against the stack's first i + 1 entries.
+    phi_p = np.array([_transition(op, s + d, s, d) for s in grid])
+    phi_m = np.array([_transition(op, s - d, s, d) for s in grid])
+    phi_m2 = np.array([_transition(op, s - 2 * d, s, d) for s in grid])
+    A = np.array([op.a_of_t(s) for s in grid])
+    if damped:
+        B = np.array([op.b_of_t(s) for s in grid])
+        G = np.array([np.block([[np.zeros((m, m)), eye], [-a, -b]])
+                      for a, b in zip(A, B)])
     s2b = 0.0
     s3b = 0.0 if not damped else None
-    s2c = 0.0
-    for j in range(N):
-        s = grid[j]
-        phi_p = _transition(op, s + d, s, d)
-        phi_m = _transition(op, s - d, s, d)
-        phi_m2 = _transition(op, s - 2 * d, s, d)
-        A = np.asarray(op.a_of_t(s))
+    for i in range(N):
+        E0 = fs.row(i)
+        Ep = E0 @ phi_p[:i + 1]
+        Em = E0 @ phi_m[:i + 1]
         if damped:
-            B = np.asarray(op.b_of_t(s))
-            G = np.block([[np.zeros((m, m)), eye], [-A, -B]])
-        for i in range(j, N):
-            E0 = fs.E(i, j)
-            Ep = E0 @ phi_p
-            Em = E0 @ phi_m
-            if damped:
-                # backward identity on the solution rows (v1, v2):
-                # d/ds v1 = v2 A(s), d/ds v2 = v2 B(s) - v1
-                back = (Ep[:m] - Em[:m]) / (2 * d) + E0[:m] @ G
-                s2b = max(s2b, np.linalg.norm(back, 2))
-            else:
-                dd = (Ep + Em - 2.0 * E0) / d ** 2
-                s2b = max(s2b, np.linalg.norm(dd[:m, m:] + E0[:m, m:] @ A, 2))
-                s3b = max(s3b, np.linalg.norm(dd[m:, m:] + E0[m:, m:] @ A, 2))
-        # (S2)(c): one-sided second-order estimate of d2S/dtds on the
-        # diagonal; zero for the undamped family, B(s) for the damped one
-        est = (3.0 * eye - 4.0 * phi_m[m:, m:] + phi_m2[m:, m:]) / (2.0 * d)
-        if damped:
-            est = est - B
-        s2c = max(s2c, np.linalg.norm(est, 2))
+            # backward identity on the solution rows (v1, v2):
+            # d/ds v1 = v2 A(s), d/ds v2 = v2 B(s) - v1
+            back = (Ep[:, :m] - Em[:, :m]) / (2 * d) + E0[:, :m] @ G[:i + 1]
+            s2b = max(s2b, worst(back))
+        else:
+            dd = (Ep + Em - 2.0 * E0) / d ** 2
+            s2b = max(s2b, worst(dd[:, :m, m:] + E0[:, :m, m:] @ A[:i + 1]))
+            s3b = max(s3b, worst(dd[:, m:, m:] + E0[:, m:, m:] @ A[:i + 1]))
+    # (S2)(c): one-sided second-order estimate of d2S/dtds on the diagonal;
+    # zero for the undamped family, B(s) for the damped one
+    est = (3.0 * eye - 4.0 * phi_m[:, m:, m:] + phi_m2[:, m:, m:]) / (2.0 * d)
+    s2c = worst(est - B if damped else est)
 
     return AxiomReport(
         s1_defect=float(s1), s2a_defect=float(s2a), s2b_defect=float(s2b),
@@ -458,13 +454,16 @@ def adjoint_defect(fs, fs_reversed):
     if np.max(np.abs((T - grid)[::-1] - grid)) > 1e-9:
         raise ConfigurationError("adjoint check needs a reflection-symmetric grid")
     N = grid.size
+    m = fs.m
     defect = 0.0
     for i in range(N):
-        for j in range(i + 1):
-            lhs = fs.S(i, j).conj().T
-            rhs = fs_reversed.S(N - 1 - j, N - 1 - i)
-            defect = max(defect, np.linalg.norm(lhs - rhs, 2))
-    return float(defect)
+        # row i against column N-1-i of the reversed table, all j <= i at once
+        j = np.arange(i + 1)
+        lhs = fs.row(i)[:, :m, m:].conj().transpose(0, 2, 1)
+        rhs = fs_reversed.blocks[fs._index(N - 1 - j, N - 1 - i), :m, m:]
+        defect = max(defect, float(np.linalg.norm(lhs - rhs, 2,
+                                                  axis=(1, 2)).max()))
+    return defect
 
 
 def adjoint_check(fs, op, h=None):

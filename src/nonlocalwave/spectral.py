@@ -162,18 +162,20 @@ def project(basis, f):
     """Project point samples onto the basis: k-th entry is <f, Psi_k>_H.
 
     ``f`` may be a callable of the spatial coordinates or an array of values
-    at the quadrature nodes.
+    at the quadrature nodes.  An array may stack samples along leading axes,
+    shape (..., Q); the result then has shape (..., m), one projection per
+    stacked row.
     """
     if callable(f):
         samples = basis.eval_function(f)
     else:
         samples = np.asarray(f)
-        if samples.shape != basis.nodes_x.shape:
+        if samples.shape[-1:] != basis.nodes_x.shape:
             raise ConfigurationError(
                 f"expected {basis.nodes_x.size} node samples, got {samples.shape}")
     if not np.all(np.isfinite(samples)):
         raise ConfigurationError("non-finite sample values in projection input")
-    return basis._proj @ samples
+    return samples @ basis._proj.T
 
 
 def norms(basis, u):

@@ -17,7 +17,6 @@ independent cross-check.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from typing import Callable
 
@@ -213,38 +212,34 @@ class ResidualReport:
     ic_v: float         # |u'(0) - u1|_H
 
 
-def _rhs_adapter(rhs):
-    if rhs is None:
-        return lambda t, u: 0.0
-    params = [p for p in inspect.signature(rhs).parameters.values()
-              if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
-    if len(params) >= 2:
-        return rhs
-    return lambda t, u: rhs(t)
-
-
-def residual(traj, op, rhs=None, u0=None, u1=None):
+def residual(traj, op, f=None, u0=None, u1=None):
     """Discrete residual of u'' + B(t)u' + A(t)u = f along a trajectory.
 
     The second derivative is the three-point second difference of the
     u-track (so the residual of an exact solution decays like the square of
     the grid step); the damping term uses the trajectory's velocity track.
-    ``rhs`` may be f(t) or a semilinear f(t, u).
+    ``f`` holds the right-hand side sampled at the trajectory's nodes, shape
+    (N, m) like ``traj.u`` (a semilinear f(t, u) is sampled as one call on
+    the (N, 1) time column, e.g. ``fixedpoint.superpose``); None means f = 0.
     """
     grid = traj.grid
     if grid.size < 3:
         raise ConfigurationError("residual needs at least three grid nodes")
     dt = quadrature.require_uniform(grid)
-    f = _rhs_adapter(rhs)
-    total = 0.0
-    for i in range(1, grid.size - 1):
-        t = grid[i]
-        udd = (traj.u[i + 1] - 2.0 * traj.u[i] + traj.u[i - 1]) / dt ** 2
-        r = udd + np.asarray(op.a_of_t(t)) @ traj.u[i] - f(t, traj.u[i])
-        if op.b_of_t is not None:
-            r = r + np.asarray(op.b_of_t(t)) @ traj.v[i]
-        total += float(np.sum(np.abs(r) ** 2)) * dt
-    eq = float(np.sqrt(total))
+    if f is not None and np.shape(f) != traj.u.shape:
+        raise ConfigurationError(
+            f"right-hand side samples have shape {np.shape(f)}, "
+            f"need {traj.u.shape}")
+    inner = grid[1:-1]
+    u = traj.u
+    r = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dt ** 2 + np.einsum(
+        "nij,nj->ni", np.array([op.a_of_t(t) for t in inner]), u[1:-1])
+    if f is not None:
+        r = r - f[1:-1]
+    if op.b_of_t is not None:
+        r = r + np.einsum("nij,nj->ni", np.array([op.b_of_t(t) for t in inner]),
+                          traj.v[1:-1])
+    eq = float(np.sqrt(np.sum(np.abs(r) ** 2) * dt))
     ic_u = 0.0 if u0 is None else float(np.linalg.norm(traj.u[0] - u0))
     ic_v = 0.0 if u1 is None else float(np.linalg.norm(traj.v[0] - u1))
     return ResidualReport(eq, ic_u, ic_v)

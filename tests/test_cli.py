@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -78,6 +79,19 @@ def test_axioms_command(tmp_path):
     rep = json.loads((out / "axioms.json").read_text())
     assert rep["s1_defect"] <= 1e-12
     assert rep["adjoint_defect"] < 1e-6
+
+
+def test_adjoint_gate_rejects_wrong_operator_table():
+    # a table built for a(t) = 2 + t, checked against the undamped_neumann
+    # operator (a(t) = 1 + t/2): the second-derivative probes pass it, the
+    # adjoint identity does not
+    sc = nlw.scenario_undamped_neumann()
+    right = nlw.realize(sc, m=8, fs_step=0.1)
+    wrong = nlw.realize(dataclasses.replace(sc, gradient_coef="2 + t"), m=8,
+                        fs_step=0.1)
+    gate = cli.AXIOM_THRESHOLDS["adjoint_defect"]
+    assert nlw.adjoint_check(right.fs, right.op) < gate
+    assert nlw.adjoint_check(wrong.fs, right.op) > gate
 
 
 def test_converge_command(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import nonlocalwave as nlw
-from nonlocalwave import ConfigurationError, NonconvergenceError
+from nonlocalwave import ConfigurationError, NonconvergenceError, quadrature
 from nonlocalwave.fixedpoint import growth_excess
 
 
@@ -96,6 +96,72 @@ def test_superpose_growth_bound_tanh(basis_pi8, rng):
                           np.zeros((9, 8)))
     assert growth_excess(nl, traj) <= 1e-12
     nlw.validate_growth(nl, 8, 1.0, rng)
+
+
+def per_node_superpose(nl, traj):
+    return np.array([nl.evaluator(t, traj.u[i])
+                     for i, t in enumerate(traj.grid)])
+
+
+@pytest.fixture(scope="module")
+def manufactured_rz():
+    sc = nlw.builtin_scenarios()["manufactured_coscos"]
+    return nlw.realize(sc, m=6, fs_step=0.05)
+
+
+@pytest.mark.parametrize("which", ["pointwise", "linear", "zero",
+                                   "manufactured"])
+def test_superpose_matches_per_node_loop(which, basis_pi8, manufactured_rz):
+    if which == "manufactured":
+        nl, basis = manufactured_rz.problem.nonlinearity, manufactured_rz.basis
+    else:
+        basis = basis_pi8
+        nl = {"pointwise": nlw.pointwise_nonlinearity(
+                  basis, lambda t, v: np.sin(1 + t) * np.tanh(v) + t * v ** 2,
+                  kind="growth"),
+              "linear": nlw.linear_nonlinearity(0.7),
+              "zero": nlw.zero_nonlinearity()}[which]
+    grid = np.linspace(0.0, 1.0, 21)
+    u = np.random.default_rng(4).standard_normal((grid.size, basis.m))
+    traj = nlw.Trajectory(grid, u, np.zeros_like(u))
+    got = nlw.superpose(nl, traj)
+    want = per_node_superpose(nl, traj)
+    assert got.shape == want.shape == u.shape
+    np.testing.assert_allclose(got, want, rtol=1e-12,
+                               atol=1e-12 * np.abs(want).max())
+
+
+def per_node_kernel(kernel, traj, basis):
+    """g(u) by the per-node Gram formula sum_i w_i K(s_i) u(s_i) + offset."""
+    w = quadrature.composite_weights(traj.grid)
+    out = np.zeros(basis.m)
+    for i, s in enumerate(traj.grid):
+        vals = np.broadcast_to(np.asarray(
+            kernel.evaluator(s, basis.nodes_x, basis.nodes_y), dtype=float),
+            basis.nodes_x.shape)
+        K = (basis.eval_table * (basis.weights * vals)) @ basis.eval_table.T
+        out += w[i] * (K @ traj.u[i])
+    return out + kernel.offset_coeffs(basis)
+
+
+@pytest.mark.parametrize("domain", [nlw.interval(np.pi),
+                                    nlw.rectangle(1.0, 2.0)])
+@pytest.mark.parametrize("kind", ["time-only", "x-dependent", "callable"])
+def test_apply_kernel_matches_per_node_gram(kind, domain):
+    basis = nlw.build_basis(domain, 7)
+    T = 1.5
+    kernel = {
+        "time-only": nlw.nonlocal_kernel("exp(-t)/2", T, offset="cos(x)"),
+        "x-dependent": nlw.nonlocal_kernel("exp(-t)*cos(x) + t*x*y", T),
+        "callable": nlw.nonlocal_kernel(
+            lambda s, x, y: np.exp(-s) * (1.0 + x ** 2), T)}[kind]
+    grid = np.linspace(0.0, T, 26)     # odd interval count: the 3/8 panel
+    u = np.random.default_rng(6).standard_normal((grid.size, basis.m))
+    traj = nlw.Trajectory(grid, u, np.zeros_like(u))
+    got = nlw.apply_kernel(kernel, traj, basis)
+    want = per_node_kernel(kernel, traj, basis)
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=1e-12 * np.abs(want).max())
 
 
 def test_validate_growth_detects_violation(rng):
@@ -204,6 +270,29 @@ def test_relaxed_homotopy_starts_at_zero(harmonic_setup):
     assert rep.homotopy_path[0] == (0.0, 0, 0.0)
     assert rep.lambda_reached == 1.0
     assert abs(traj.u[0, 0] - 2.0) < 1e-6
+
+
+def test_stalled_homotopy_reports_measured_growth_excess(harmonic_setup,
+                                                         monkeypatch):
+    # gamma = 2 makes lambda T(w) expansive beyond lambda ~ 1/2, so the
+    # homotopy stalls; f = 0.1 u breaks its declared bound |f| <= 0, so the
+    # excess along the reached iterate is positive
+    basis, op, fs, T = harmonic_setup
+    nl = nlw.Nonlinearity(lambda t, u: 0.1 * u, "growth", growth_a=0.0)
+    prob = make_problem(basis, op, T, 2.0, "1", nl=nl)
+    finalised = []
+    original = nlw.fixedpoint._finalise
+
+    def spy(problem, fs, w, *args):
+        finalised.append(w)
+        return original(problem, fs, w, *args)
+
+    monkeypatch.setattr(nlw.fixedpoint, "_finalise", spy)
+    with pytest.raises(NonconvergenceError, match="homotopy stalled") as exc:
+        nlw.relaxed_solve(prob, fs, nlw.SolveConfig(homotopy="always"))
+    rep = exc.value.report
+    assert rep.growth_excess > 0.0
+    assert rep.growth_excess == growth_excess(nl, finalised[-1])
 
 
 def test_relaxed_matches_contraction(harmonic_setup):

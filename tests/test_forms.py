@@ -179,10 +179,3 @@ def test_kernel_lipschitz_rejects_nonfinite(basis_pi8):
     with pytest.raises(ConfigurationError):
         nlw.kernel_lipschitz(k, basis_pi8)
 
-
-def test_returned_adjoint_reverses_time():
-    f = form("1+t", "2", T=2.0)
-    fr = nlw.returned_adjoint(f)
-    x = np.array([0.3])
-    assert np.isclose(fr.gradient_coef(0.5, x)[0], 1.0 + 1.5)
-    assert np.isclose(fr.zeroth_coef(1.0, x)[0], 2.0)

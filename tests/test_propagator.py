@@ -311,6 +311,60 @@ def per_pair_axioms(fs, op, d=5e-5):
     return comp, s4, s2a, s3a
 
 
+def per_pair_rest(fs, op, d):
+    """(S1), the Lipschitz constants, (S2)(b)/(S3)(b) and (S2)(c), one pair
+    (or one node) at a time."""
+    grid, m, N = fs.time_grid, fs.m, fs.n_nodes
+    eye = np.eye(m)
+    damped = op.b_of_t is not None
+    out = dict(s1=0.0, lip_s=0.0, lip_c=0.0, s2b=0.0, s3b=0.0, s2c=0.0)
+    for i in range(N):
+        out["s1"] = max(out["s1"], np.linalg.norm(fs.S(i, i), 2),
+                        np.linalg.norm(fs.C(i, i) - eye, 2),
+                        np.linalg.norm(fs.dS(i, i) - eye, 2),
+                        np.linalg.norm(fs.dC(i, i), 2))
+    for j in range(N - 1):
+        for i in range(j, N - 1):
+            dt = grid[i + 1] - grid[i]
+            out["lip_s"] = max(out["lip_s"], np.linalg.norm(
+                fs.S(i + 1, j) - fs.S(i, j), 2) / dt)
+            out["lip_c"] = max(out["lip_c"], np.linalg.norm(
+                fs.C(i + 1, j) - fs.C(i, j), 2) / dt)
+    for j in range(N):
+        s = grid[j]
+        phi_p = _span(op, s + d, s, np.eye(2 * m), d)
+        phi_m = _span(op, s - d, s, np.eye(2 * m), d)
+        phi_m2 = _span(op, s - 2 * d, s, np.eye(2 * m), d)
+        A = np.asarray(op.a_of_t(s))
+        if damped:
+            B = np.asarray(op.b_of_t(s))
+            G = np.block([[np.zeros((m, m)), eye], [-A, -B]])
+        for i in range(j, N):
+            E0 = fs.E(i, j)
+            Ep, Em = E0 @ phi_p, E0 @ phi_m
+            if damped:
+                back = (Ep[:m] - Em[:m]) / (2 * d) + E0[:m] @ G
+                out["s2b"] = max(out["s2b"], np.linalg.norm(back, 2))
+            else:
+                dd = (Ep + Em - 2.0 * E0) / d ** 2
+                out["s2b"] = max(out["s2b"], np.linalg.norm(
+                    dd[:m, m:] + E0[:m, m:] @ A, 2))
+                out["s3b"] = max(out["s3b"], np.linalg.norm(
+                    dd[m:, m:] + E0[m:, m:] @ A, 2))
+        est = (3.0 * eye - 4.0 * phi_m[m:, m:] + phi_m2[m:, m:]) / (2.0 * d)
+        if damped:
+            est = est - B
+        out["s2c"] = max(out["s2c"], np.linalg.norm(est, 2))
+    return out
+
+
+def per_pair_adjoint(fs, fs_r):
+    N = fs.n_nodes
+    return max(np.linalg.norm(fs.S(i, j).conj().T
+                              - fs_r.S(N - 1 - j, N - 1 - i), 2)
+               for i in range(N) for j in range(i + 1))
+
+
 @pytest.mark.parametrize("damped", [False, True])
 def test_batched_axioms_match_per_pair_loop(damped):
     rng = np.random.default_rng(8)
@@ -332,3 +386,21 @@ def test_batched_axioms_match_per_pair_loop(damped):
     assert abs(rep.s4_defect - s4) < 1e-13
     assert rep.s2a_defect == pytest.approx(s2a, rel=1e-5)
     assert rep.s3a_defect == pytest.approx(s3a, rel=1e-5)
+    rest = per_pair_rest(fs, op, d)
+    assert abs(rep.s1_defect - rest["s1"]) < 1e-13
+    assert abs(rep.lip_s - rest["lip_s"]) < 1e-13
+    assert abs(rep.lip_c - rest["lip_c"]) < 1e-13
+    assert rep.s2b_defect == pytest.approx(rest["s2b"], rel=1e-5)
+    assert rep.s2c_defect == pytest.approx(rest["s2c"], rel=1e-5)
+    if damped:
+        assert rep.s3b_defect is None
+    else:
+        assert rep.s3b_defect == pytest.approx(rest["s3b"], rel=1e-5)
+    # the adjoint pair loop, on the returned-adjoint family (rounding level)
+    # and on a mismatched one (the table itself, an O(1) defect here)
+    fs_r = nlw.fundamental_solution(nlw.reversed_operator(op, 1.0),
+                                    fs.time_grid, h=1e-3, validate=False)
+    for other in (fs_r, fs):
+        assert abs(nlw.adjoint_defect(fs, other)
+                   - per_pair_adjoint(fs, other)) < 1e-13
+    assert nlw.adjoint_defect(fs, fs) > 1e-3

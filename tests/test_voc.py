@@ -204,7 +204,7 @@ def test_residual_of_solver_output():
     p = nlw.LinearProblem(op, np.array([1.0]), np.zeros(1),
                           lambda t: np.array([np.sin(2 * t)]), np.pi)
     traj = nlw.solve_undamped(p, fs, grid)
-    r = nlw.residual(traj, op, p.forcing, p.u0, p.u1)
+    r = nlw.residual(traj, op, np.sin(2 * grid)[:, None], p.u0, p.u1)
     assert r.equation < 1e-4
     assert r.ic_u < 1e-12 and r.ic_v < 1e-12
 
@@ -221,10 +221,15 @@ def test_residual_semilinear_right_side(harmonic_fs):
     op, fs = harmonic_fs
     grid = fs.time_grid
     traj = nlw.Trajectory(grid, np.cos(grid)[:, None], -np.sin(grid)[:, None])
-    # residual against f(t, u) = u - cos(t) + ... checks the two-arg path
-    r = nlw.residual(traj, op, lambda t, u: u - np.cos(t) + np.cos(t) * u * 0)
-    r2 = nlw.residual(traj, op, lambda t: np.array([0.0]))
+    # samples of the semilinear f(t, u) = u - cos(t), which vanishes along
+    # u = cos(t), against f = 0 given as samples and as None
+    r = nlw.residual(traj, op, traj.u - np.cos(grid)[:, None])
+    r2 = nlw.residual(traj, op, np.zeros_like(traj.u))
+    r3 = nlw.residual(traj, op)
     assert abs(r.equation - r2.equation) < 1e-12
+    assert r2.equation == r3.equation
+    with pytest.raises(ConfigurationError):
+        nlw.residual(traj, op, np.zeros(grid.size))
 
 
 def random_family(kind, m=3, nodes=31, seed=5):
