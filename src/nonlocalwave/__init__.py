@@ -7,7 +7,7 @@ from .expressions import Expression, as_expression, parse_expression
 from .spectral import (SpatialDomain, SpectralBasis, Trajectory, build_basis,
                        interval, norms, project, rectangle, zero_trajectory)
 from .forms import (CoefficientField, FormCertificate, FormSpec,
-                    KernelConstants, OperatorMatrix, assemble,
+                    KernelConstants, assemble,
                     assemble_damping, build_Am, certify, certify_operator,
                     coefficient_field, kernel_lipschitz, stiffness_supplier,
                     damping_supplier)
@@ -17,7 +17,7 @@ from .propagator import (AxiomReport, BlockOperator, FundamentalSolution,
                          load_fs, propagate, reversed_operator,
                          undamped_operator)
 from .voc import (LinearProblem, ResidualReport, direct_integrate, residual,
-                  solve, solve_damped, solve_undamped)
+                  solve)
 from .fixedpoint import (ConvergenceTable, FixedPointReport, NonlocalKernel,
                          NonlocalProblem, Nonlinearity, SolveConfig,
                          apply_kernel, contraction_solve, galerkin_refine,

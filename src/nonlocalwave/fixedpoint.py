@@ -10,8 +10,9 @@ predicting its contraction coefficient q = (M1 Lg + M2 Lh) sqrt(T) + L M_2T
 from measured block bounds and certified kernel constants; when q >= 1 and
 the Duhamel part is reducible it concatenates sub-interval solves of length
 T* chosen so the local coefficient stays below a safety threshold.  The
-relaxed engine damps the iteration and falls back to homotopy continuation
-in w = lambda T(w), reporting the reachable lambda honestly when it stalls.
+relaxed engine runs the plain Picard iteration w <- T(w) and falls back to
+homotopy continuation in w = lambda T(w), reporting the reachable lambda
+honestly when it stalls.
 """
 
 from __future__ import annotations
@@ -25,6 +26,14 @@ from . import forms, quadrature, voc
 from .errors import ConfigurationError, NonconvergenceError
 from .expressions import Expression, as_expression
 from .spectral import Trajectory, project, zero_trajectory
+
+SAFETY = 0.9            # largest local coefficient a partition may leave
+INNER_MAX_ITER = 60     # sweeps per sub-interval and per homotopy stage
+LAMBDA_STEPS = 6        # initial homotopy grid on [0, 1]
+MIN_LAMBDA_STEP = 0.05  # the homotopy stalls below this step
+PROBE_COUNT, PROBE_RADIUS = 8, 2.0     # random trajectories bounding r1, r2
+BALL_TOL = 1e-6         # slack of the Gronwall ball check
+GROWTH_PROBES, GROWTH_RADIUS, GROWTH_TOL = 20, 2.0, 1e-9  # validate_growth
 
 
 @dataclass
@@ -186,16 +195,16 @@ def growth_excess(nl, traj, values=None):
     return max(0.0, float(np.max(np.linalg.norm(values, axis=1) - bound)))
 
 
-def validate_growth(nl, m, horizon, rng, probes=20, radius=2.0, tol=1e-9):
+def validate_growth(nl, m, horizon, rng):
     """Sample random coefficient vectors and check the declared growth bound."""
     a, b = nl.ball_growth(m)
     worst = 0.0
-    for _ in range(probes):
+    for _ in range(GROWTH_PROBES):
         t = float(rng.uniform(0.0, horizon))
-        u = rng.standard_normal(m) * radius
+        u = rng.standard_normal(m) * GROWTH_RADIUS
         worst = max(worst, float(np.linalg.norm(nl.evaluator(t, u)))
                     - (a * float(np.linalg.norm(u)) + float(b(t))))
-    if worst > tol:
+    if worst > GROWTH_TOL:
         raise ConfigurationError(
             f"nonlinearity {nl.name!r} violates its declared growth bound "
             f"by {worst:.3e} on random probes")
@@ -229,18 +238,15 @@ class NonlocalProblem:
 class SolveConfig:
     tol: float = 1e-8
     max_iter: int = 200
-    theta: float = 1.0
-    safety: float = 0.9
-    inner_tol: float | None = None
-    inner_max_iter: int = 60
-    homotopy: str = "auto"          # auto | always | never
-    lambda_steps: int = 6
-    min_lambda_step: float = 0.05
-    probe_count: int = 8
-    probe_radius: float = 2.0
+    homotopy: str = "auto"          # auto | always
     seed: int = 0
-    ball_tol: float = 1e-6
     force_partition: int | None = None   # chunk count; consistency checks only
+
+    def __post_init__(self):
+        if self.homotopy not in ("auto", "always"):
+            raise ConfigurationError(
+                f"unknown homotopy mode {self.homotopy!r}; "
+                "use 'auto' or 'always'")
 
 
 @dataclass
@@ -290,13 +296,13 @@ def _solution_map(problem, fs, w, x0, y0, partition=None, cfg=None):
         u, v = voc.representation(fs, problem.op, x0, y0, F)
         return Trajectory(grid, u, v)
     # forward concatenation with an inner Picard solve per sub-interval
-    inner_tol = cfg.inner_tol if cfg.inner_tol is not None else 0.1 * cfg.tol
+    inner_tol = 0.1 * cfg.tol
     u = np.empty((grid.size, fs.m))
     v = np.empty((grid.size, fs.m))
     xa, ya = x0, y0
     local = w.u.copy()
     for a, b in zip(partition[:-1], partition[1:]):
-        for _ in range(cfg.inner_max_iter):
+        for _ in range(INNER_MAX_ITER):
             voc.representation(fs, problem.op, xa, ya, F, start=a, stop=b,
                                u=u, v=v)
             upd = float(np.max(np.linalg.norm(u[a:b + 1] - local[a:b + 1],
@@ -338,7 +344,7 @@ def _finalise(problem, fs, w, report, cfg, sup_w, r1, r2):
     report.gronwall_radius = gronwall_radius(
         report.m1, report.m2, report.r1, report.r2, b_l1, a, problem.horizon)
     report.gronwall_ok = bool(
-        max(sup_w, default=0.0) <= report.gronwall_radius + cfg.ball_tol)
+        max(sup_w, default=0.0) <= report.gronwall_radius + BALL_TOL)
     report.measured_ratio = _measured_ratio(report.update_norms, cfg.tol)
 
 
@@ -382,8 +388,8 @@ def contraction_solve(problem, fs, cfg=None):
         t_star = stride * (grid[1] - grid[0])
         message = f"partition of {cfg.force_partition} chunks forced by config"
     elif q >= 1.0:
-        if L > 0 and m2 > 0 and q_nonlocal <= cfg.safety:
-            tau = (cfg.safety - q_nonlocal) / (L * m2)
+        if L > 0 and m2 > 0 and q_nonlocal <= SAFETY:
+            tau = (SAFETY - q_nonlocal) / (L * m2)
             dt = grid[1] - grid[0]
             stride = max(1, int(np.floor(tau / dt + 1e-12)))
             if stride < grid.size - 1:
@@ -434,15 +440,12 @@ def contraction_solve(problem, fs, cfg=None):
     return w, report
 
 
-def _picard(problem, fs, w, cfg, report, sup_w, scale=1.0, budget=None,
-            tol=None):
-    """Damped Picard phase; returns (w, converged, r1, r2).
+def _picard(problem, fs, w, tol, budget, report, sup_w, scale=1.0):
+    """Picard phase w <- scale * T(w); returns (w, converged, r1, r2).
 
     Stagnation is judged on this phase's own update norms, not the
     accumulated record, so homotopy stages do not see each other's tails.
     """
-    tol = tol if tol is not None else cfg.tol
-    budget = budget or cfg.max_iter
     r1 = r2 = 0.0
     local = []
     for _ in range(budget):
@@ -452,11 +455,10 @@ def _picard(problem, fs, w, cfg, report, sup_w, scale=1.0, budget=None,
             max(r2, float(np.linalg.norm(y0)))
         target = _solution_map(problem, fs, w, x0, y0)
         if scale != 1.0:
-            target = Trajectory(target.grid, scale * target.u, scale * target.v)
-        u_new = (1.0 - cfg.theta) * w.u + cfg.theta * target.u
-        v_new = (1.0 - cfg.theta) * w.v + cfg.theta * target.v
-        upd = float(np.max(np.linalg.norm(u_new - w.u, axis=1)))
-        w = Trajectory(w.grid, u_new, v_new)
+            target.u *= scale
+            target.v *= scale
+        upd = float(np.max(np.linalg.norm(target.u - w.u, axis=1)))
+        w = target
         local.append(upd)
         report.update_norms.append(upd)
         report.iterations += 1
@@ -471,7 +473,7 @@ def _picard(problem, fs, w, cfg, report, sup_w, scale=1.0, budget=None,
 
 
 def relaxed_solve(problem, fs, cfg=None):
-    """Damped iteration w <- (1-theta) w + theta T(w), with homotopy fallback.
+    """Picard iteration w <- T(w), with homotopy fallback in w = lambda T(w).
 
     Existence is what the theory guarantees; convergence of this scheme is
     not, so stagnation below lambda = 1 produces a partial report and raises
@@ -486,9 +488,9 @@ def relaxed_solve(problem, fs, cfg=None):
                               m1=m1, m2=m2, m2t=m2t)
     # bounds r1, r2 verified on random probe trajectories
     r1 = r2 = 0.0
-    for _ in range(cfg.probe_count):
+    for _ in range(PROBE_COUNT):
         probe = Trajectory(
-            grid, rng.standard_normal((grid.size, fs.m)) * cfg.probe_radius,
+            grid, rng.standard_normal((grid.size, fs.m)) * PROBE_RADIUS,
             np.zeros((grid.size, fs.m)))
         r1 = max(r1, float(np.linalg.norm(
             apply_kernel(problem.kernel_g, probe, problem.basis))))
@@ -498,23 +500,23 @@ def relaxed_solve(problem, fs, cfg=None):
     sup_w = []
     w = zero_trajectory(grid, fs.m)
     converged = False
-    if cfg.homotopy != "always":
-        w, converged, p1, p2 = _picard(problem, fs, w, cfg, report, sup_w)
+    if cfg.homotopy == "auto":
+        w, converged, p1, p2 = _picard(problem, fs, w, cfg.tol, cfg.max_iter,
+                                       report, sup_w)
         r1, r2 = max(r1, p1), max(r2, p2)
         report.lambda_reached = 1.0 if converged else 0.0
 
-    if not converged and cfg.homotopy != "never":
-        lambdas = np.linspace(0.0, 1.0, cfg.lambda_steps)
+    if not converged:
         w = zero_trajectory(grid, fs.m)   # exact fixed point at lambda 0
         report.homotopy_path.append((0.0, 0, 0.0))
         report.lambda_reached = 0.0
         i = 1
-        lam_list = lambdas.tolist()
+        lam_list = np.linspace(0.0, 1.0, LAMBDA_STEPS).tolist()
         while i < len(lam_list):
             lam = lam_list[i]
-            trial, ok, p1, p2 = _picard(problem, fs, w.copy(), cfg, report,
-                                        sup_w, scale=lam,
-                                        budget=cfg.inner_max_iter)
+            trial, ok, p1, p2 = _picard(problem, fs, w, cfg.tol,
+                                        INNER_MAX_ITER, report, sup_w,
+                                        scale=lam)
             r1, r2 = max(r1, p1), max(r2, p2)
             if ok:
                 w = trial
@@ -525,20 +527,16 @@ def relaxed_solve(problem, fs, cfg=None):
                 i += 1
                 continue
             prev = lam_list[i - 1]
-            if lam - prev > cfg.min_lambda_step:
+            if lam - prev > MIN_LAMBDA_STEP:
                 lam_list.insert(i, 0.5 * (prev + lam))
                 continue
             report.message = (f"homotopy stalled at lambda="
                               f"{report.lambda_reached:.3g}")
             _finalise(problem, fs, w, report, cfg, sup_w, r1, r2)
             raise NonconvergenceError(report.message, report=report)
-        converged = True
 
-    report.converged = converged
+    report.converged = True
     _finalise(problem, fs, w, report, cfg, sup_w, r1, r2)
-    if not converged:
-        raise NonconvergenceError("relaxed iteration did not converge",
-                                  report=report)
     return w, report
 
 

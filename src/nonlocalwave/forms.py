@@ -24,6 +24,8 @@ from .errors import CertificationError, ConfigurationError
 from .expressions import Expression, as_expression
 
 BOUND_CHECK_TOL = 1e-12
+FORM_TIME_SAMPLES = 33     # times at which coefficients and forms are checked
+KERNEL_TIME_SAMPLES = 129  # times of kernel_lipschitz's L2-in-time norms
 
 
 @dataclass(frozen=True)
@@ -54,12 +56,12 @@ def coefficient_field(symbol, expr, lower=None, upper=None):
     return CoefficientField(symbol, evaluator, lower, upper, source=e.source)
 
 
-def validate_coefficient(field, basis, horizon, time_samples=33):
+def validate_coefficient(field, basis, horizon):
     """Check finiteness and declared bounds on sampled (t, x).
 
     Raises :class:`CertificationError` carrying a witness (t, x) pair.
     """
-    times = np.linspace(0.0, horizon, time_samples)
+    times = np.linspace(0.0, horizon, FORM_TIME_SAMPLES)
     for t in times:
         vals = field(t, basis.nodes_x, basis.nodes_y)
         bad = ~np.isfinite(vals)
@@ -96,21 +98,13 @@ class FormSpec:
         return self.damping_coef is not None
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Galerkin matrix of a form at one time; entry (j,k) = a(t; Psi_k, Psi_j)."""
-
-    entries: np.ndarray
-    time_stamp: float
-
-
 @dataclass
 class FormCertificate:
     """Numerically certified constants of a form.
 
     ``omega_deltas``/``omega_values`` tabulate the time-regularity modulus;
     ``dini_integrals`` are the integrals of omega(t)/t^(3/2) and
-    (omega(t)/t)^2 over [delta_min, T].
+    (omega(t)/t)^2 over [T/1e4, T].
     """
 
     bound_c: float
@@ -129,7 +123,8 @@ def _weighted_gram(table_a, table_b, weights, values):
 
 
 def assemble(form, basis, t):
-    """Assemble the Galerkin matrix of a(t; ., .) by quadrature."""
+    """Galerkin matrix of a(t; ., .) by quadrature; entry (j, k) is
+    a(t; Psi_k, Psi_j)."""
     m = basis.m
     entries = np.zeros((m, m))
     if form.gradient_coef is not None:
@@ -145,7 +140,7 @@ def assemble(form, basis, t):
         name = (form.gradient_coef or form.zeroth_coef).symbol
         raise ConfigurationError(
             f"assembly produced non-finite entries (coefficient {name!r}) at t={t}")
-    return OperatorMatrix(entries, float(t))
+    return entries
 
 
 def assemble_damping(form, basis, t):
@@ -159,18 +154,18 @@ def assemble_damping(form, basis, t):
         raise ConfigurationError(
             f"assembly produced non-finite entries (coefficient "
             f"{form.damping_coef.symbol!r}) at t={t}")
-    return OperatorMatrix(entries, float(t))
+    return entries
 
 
 def stiffness_supplier(form, basis):
     """Time -> ndarray supplier of A(t), for the block propagator."""
-    return lambda t: assemble(form, basis, t).entries
+    return lambda t: assemble(form, basis, t)
 
 
 def damping_supplier(form, basis):
     if form.damping_coef is None:
         return None
-    return lambda t: assemble_damping(form, basis, t).entries
+    return lambda t: assemble_damping(form, basis, t)
 
 
 def build_Am(stiffness, basis, m_sub, alpha):
@@ -185,15 +180,15 @@ def build_Am(stiffness, basis, m_sub, alpha):
         raise ConfigurationError(f"m_sub must lie in 1..{m}, got {m_sub}")
     if alpha <= 0:
         raise ConfigurationError("alpha must be positive")
-    out = np.zeros_like(stiffness.entries)
-    out[:m_sub, :m_sub] = stiffness.entries[:m_sub, :m_sub]
+    out = np.zeros_like(stiffness)
+    out[:m_sub, :m_sub] = stiffness[:m_sub, :m_sub]
     comp = alpha * basis.v_weights[m_sub:]
     out[m_sub:, m_sub:] = np.diag(comp)
-    return OperatorMatrix(out, stiffness.time_stamp)
+    return out
 
 
 def projected_supplier(form, basis, m_sub, alpha):
-    return lambda t: build_Am(assemble(form, basis, t), basis, m_sub, alpha).entries
+    return lambda t: build_Am(assemble(form, basis, t), basis, m_sub, alpha)
 
 
 def vvprime_norm(entries, v_weights):
@@ -202,13 +197,17 @@ def vvprime_norm(entries, v_weights):
     return float(np.linalg.norm(entries * np.outer(d, d), 2))
 
 
-def _certify_supplier(a_of_t, basis, horizon, sample_count, shift,
-                      delta_min, gradient_supplier=None):
-    if sample_count < 2:
-        raise ConfigurationError("sample_count must be at least 2")
+def certify_operator(a_of_t, basis, horizon, shift=0.0,
+                     gradient_supplier=None):
+    """Certify a time -> matrix supplier (e.g. a projected A_m).
+
+    ``shift`` is the H-norm shift omega in the coercivity estimate
+    Re a(t;u,u) + shift*|u|_H^2 >= alpha*|u|_V^2; ``gradient_supplier``
+    (the gradient part alone) adds its coercivity on non-constant modes.
+    """
     vw = basis.v_weights
     dinv = 1.0 / np.sqrt(vw)
-    times = np.linspace(0.0, horizon, sample_count)
+    times = np.linspace(0.0, horizon, FORM_TIME_SAMPLES)
     mats = [np.asarray(a_of_t(t), dtype=float) for t in times]
 
     bound_c = max(vvprime_norm(M, vw) for M in mats)
@@ -240,9 +239,7 @@ def _certify_supplier(a_of_t, basis, horizon, sample_count, shift,
         gradient_alpha = gmin
 
     # omega(delta) from pairwise form differences on a log-spaced delta grid
-    if delta_min is None:
-        delta_min = horizon / 1.0e4
-    deltas = np.geomspace(delta_min, horizon, 25)
+    deltas = np.geomspace(horizon / 1.0e4, horizon, 25)
     n_base = 12
     omegas = np.zeros_like(deltas)
     for i, d in enumerate(deltas):
@@ -268,11 +265,10 @@ def _certify_supplier(a_of_t, basis, horizon, sample_count, shift,
                            deltas, omegas, (dini1, dini2), warn)
 
 
-def certify(form, basis, sample_count=33, shift=0.0, delta_min=None):
+def certify(form, basis, shift=0.0):
     """Certify (A2)-(A4) constants of a form against a basis.
 
-    ``shift`` is the H-norm shift omega in the coercivity estimate
-    Re a(t;u,u) + shift*|u|_H^2 >= alpha*|u|_V^2; it is reported separately
+    ``shift`` is as in :func:`certify_operator` and is reported separately
     in the certificate.  Coefficient bound declarations are validated first.
     """
     for f in (form.gradient_coef, form.zeroth_coef, form.damping_coef):
@@ -282,16 +278,8 @@ def certify(form, basis, sample_count=33, shift=0.0, delta_min=None):
     if form.gradient_coef is not None:
         grad_only = FormSpec(form.gradient_coef, None, None, form.horizon)
         grad_sup = stiffness_supplier(grad_only, basis)
-    return _certify_supplier(stiffness_supplier(form, basis), basis,
-                             form.horizon, sample_count, shift, delta_min,
-                             gradient_supplier=grad_sup)
-
-
-def certify_operator(a_of_t, basis, horizon, sample_count=33, shift=0.0,
-                     delta_min=None):
-    """Certify an arbitrary time -> matrix supplier (e.g. a projected A_m)."""
-    return _certify_supplier(a_of_t, basis, horizon, sample_count, shift,
-                             delta_min)
+    return certify_operator(stiffness_supplier(form, basis), basis,
+                            form.horizon, shift, gradient_supplier=grad_sup)
 
 
 @dataclass(frozen=True)
@@ -316,29 +304,32 @@ class KernelConstants:
 
 
 def _kernel_gradient_samples(kernel, t, xs, ys):
+    """|grad kappa| at an (N, 1) time column and the points (xs, ys): (N, P)."""
+    shape = (t.shape[0], xs.size)
     expr = getattr(kernel, "expression", None)
     if expr is not None:
         gx = expr.diff("x")(t=t, x=xs, y=0.0 if ys is None else ys)
-        gx = np.broadcast_to(np.asarray(gx, dtype=float), xs.shape)
+        gx = np.broadcast_to(np.asarray(gx, dtype=float), shape)
         if ys is None:
             return np.abs(gx)
         gy = expr.diff("y")(t=t, x=xs, y=ys)
-        gy = np.broadcast_to(np.asarray(gy, dtype=float), xs.shape)
+        gy = np.broadcast_to(np.asarray(gy, dtype=float), shape)
         return np.hypot(gx, gy)
     # central differences for opaque callables
     eps = 1e-6
     ev = kernel.evaluator
     gx = (np.asarray(ev(t, xs + eps, ys)) - np.asarray(ev(t, xs - eps, ys))) / (2 * eps)
-    gx = np.broadcast_to(gx, xs.shape)
+    gx = np.broadcast_to(gx, shape)
     if ys is None:
         return np.abs(gx)
     gy = (np.asarray(ev(t, xs, ys + eps)) - np.asarray(ev(t, xs, ys - eps))) / (2 * eps)
-    gy = np.broadcast_to(gy, xs.shape)
+    gy = np.broadcast_to(gy, shape)
     return np.hypot(gx, gy)
 
 
-def kernel_lipschitz(kernel, basis, time_samples=129):
-    """L2(0,T; L-infinity) norms of a nonlocal kernel and its gradient."""
+def kernel_lipschitz(kernel, basis):
+    """L2(0,T; L-infinity) norms of a nonlocal kernel and its gradient,
+    each sampled in one call on the (N, 1) column of sample times."""
     T = kernel.horizon
     if basis.nodes_y is None:
         L, = basis.domain.lengths
@@ -350,16 +341,16 @@ def kernel_lipschitz(kernel, basis, time_samples=129):
         g2 = np.linspace(0.0, L2, 65)
         xs = np.repeat(g1, 65)
         ys = np.tile(g2, 65)
-    times = np.linspace(0.0, T, time_samples)
-    sup_val = np.empty(time_samples)
-    sup_grad = np.empty(time_samples)
-    for i, t in enumerate(times):
-        vals = np.broadcast_to(
-            np.asarray(kernel.evaluator(t, xs, ys), dtype=float), xs.shape)
-        if not np.all(np.isfinite(vals)):
-            raise ConfigurationError(f"kernel non-finite at t={t}")
-        sup_val[i] = np.max(np.abs(vals))
-        sup_grad[i] = np.max(_kernel_gradient_samples(kernel, t, xs, ys))
+    times = np.linspace(0.0, T, KERNEL_TIME_SAMPLES)
+    col = times[:, None]
+    vals = np.broadcast_to(np.asarray(kernel.evaluator(col, xs, ys),
+                                      dtype=float), (times.size, xs.size))
+    finite = np.isfinite(vals).all(axis=1)
+    if not finite.all():
+        raise ConfigurationError(
+            f"kernel non-finite at t={times[np.argmin(finite)]}")
+    sup_val = np.abs(vals).max(axis=1)
+    sup_grad = _kernel_gradient_samples(kernel, col, xs, ys).max(axis=1)
     w = quadrature.composite_weights(times)
     return KernelConstants(
         float(np.sqrt(np.sum(w * sup_val ** 2))),

@@ -7,7 +7,8 @@ system U' = G(t)U + F with U = (u, u') and
 
 The two-parameter solution operator E(t, s) of the homogeneous system is
 tabulated on a time grid; its quadrants are C(t,s), S(t,s), dC(t,s), dS(t,s)
-for the undamped family and v1..v4 for the damped one.  The integrator is
+for the undamped family and v1..v4 for the damped one, read through the
+same C/S/dC/dS accessors.  The integrator is
 linear in the state, so each grid interval has one transition map Phi_j,
 obtained by integrating an identity block across it, and every stored block
 is a product of these maps, E(t_i, s_j) = Phi_i ... Phi_{j+1}.  The
@@ -30,6 +31,8 @@ import numpy as np
 from .errors import ConfigurationError, PropagationError
 
 STABILITY_LIMIT = 2.5  # |omega * h| budget for the classical 4th-order method
+FREQUENCY_SAMPLES = 5  # times at which spectral_frequency measures ||A(t)||
+NODE_TOL = 1e-10       # how far a time may lie from the grid node it names
 
 _MAGIC = b"NLWFS001"
 
@@ -66,10 +69,10 @@ def reversed_operator(op, horizon):
     return BlockOperator(a_r, b_r, op.dim)
 
 
-def spectral_frequency(op, horizon, samples=5):
+def spectral_frequency(op, horizon):
     """Largest oscillation frequency sqrt(||A(t)||) over sampled times."""
     freq = 0.0
-    for t in np.linspace(0.0, horizon, samples):
+    for t in np.linspace(0.0, horizon, FREQUENCY_SAMPLES):
         freq = max(freq, float(np.sqrt(np.linalg.norm(op.a_of_t(t), 2))))
         if op.b_of_t is not None:
             freq = max(freq, float(np.linalg.norm(op.b_of_t(t), 2)))
@@ -164,8 +167,8 @@ class FundamentalSolution:
     """Tabulated blocks E(t_i, s_j) for grid pairs with s_j <= t_i.
 
     For undamped operators the quadrants of E are (C, S; dC, dS); for damped
-    ones they are (v1, v2; v3, v4).  Both are exposed through the same
-    accessors since they enter the representation formulas identically.
+    ones they are (v1, v2; v3, v4).  Both are read through the C/S/dC/dS
+    accessors, since they enter the representation formulas identically.
     The block bounds are computed on first use and kept, which is sound
     because the tables made by :func:`fundamental_solution` and
     :func:`load_fs` are read-only.
@@ -205,12 +208,9 @@ class FundamentalSolution:
     def dS(self, i, j):
         return self.E(i, j)[self.m:, self.m:]
 
-    # damped naming
-    v1, v2, v3, v4 = C, S, dC, dS
-
-    def node_index(self, t, tol=1e-10):
+    def node_index(self, t):
         i = int(np.argmin(np.abs(self.time_grid - t)))
-        if abs(self.time_grid[i] - t) > tol:
+        if abs(self.time_grid[i] - t) > NODE_TOL:
             raise ConfigurationError(f"time {t!r} is not a grid node")
         return i
 
@@ -466,11 +466,12 @@ def adjoint_defect(fs, fs_reversed):
     return defect
 
 
-def adjoint_check(fs, op, h=None):
-    """Build the returned-adjoint family for ``op`` and measure the defect."""
+def adjoint_check(fs, op):
+    """Build the returned-adjoint family for ``op`` with the table's own
+    substep and measure the defect."""
     T = float(fs.time_grid[-1])
     fs_r = fundamental_solution(reversed_operator(op, T), fs.time_grid,
-                                h=h or fs.h, validate=False)
+                                h=fs.h, validate=False)
     return adjoint_defect(fs, fs_r)
 
 

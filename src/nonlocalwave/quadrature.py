@@ -14,8 +14,10 @@ import numpy as np
 
 from .errors import ConfigurationError
 
+UNIFORM_TOL = 1e-9  # relative spread of steps accepted as a uniform grid
 
-def require_uniform(x, tol=1e-9):
+
+def require_uniform(x):
     """Return the spacing of a strictly increasing uniform grid."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 2:
@@ -24,7 +26,7 @@ def require_uniform(x, tol=1e-9):
     if np.any(steps <= 0):
         raise ConfigurationError("grid must be strictly increasing")
     h = steps.mean()
-    if np.max(np.abs(steps - h)) > tol * max(1.0, abs(h)):
+    if np.max(np.abs(steps - h)) > UNIFORM_TOL * max(1.0, abs(h)):
         raise ConfigurationError("grid must be uniform")
     return h
 

@@ -21,6 +21,8 @@ from .expressions import as_expression
 from .spectral import SpatialDomain, Trajectory, build_basis, interval, project
 
 _NONLINEARITIES = ("none", "tanh", "logistic")
+_KINDS = ("undamped", "damped")
+_ENGINES = ("relaxed", "contraction")
 
 
 @dataclass(frozen=True)
@@ -43,6 +45,14 @@ class Scenario:
     fs_step: float
     bounds: tuple = ()           # ((symbol, lower, upper), ...)
     manufactured_u: str | None = None
+
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ConfigurationError(
+                f"unknown scenario kind {self.kind!r}; available: {_KINDS}")
+        if self.engine not in _ENGINES:
+            raise ConfigurationError(
+                f"unknown engine {self.engine!r}; available: {_ENGINES}")
 
     def bound_for(self, symbol):
         for sym, lo, hi in self.bounds:
@@ -157,8 +167,7 @@ def _node_samples(basis, expr, t):
                            np.broadcast_shapes(np.shape(t), basis.nodes_x.shape))
 
 
-def realize(scenario, m=None, h=None, fs_step=None, span_tol=1e-8, seed=0,
-            validate_nonlinearity=True):
+def realize(scenario, m=None, h=None, fs_step=None, span_tol=1e-8, seed=0):
     """Build basis, operators, tables and the nonlocal problem.
 
     ``span_tol`` guards manufactured solutions: if the chosen u_star is not
@@ -236,8 +245,7 @@ def realize(scenario, m=None, h=None, fs_step=None, span_tol=1e-8, seed=0,
         kernel_g = dataclasses.replace(kernel_g, offset=off1)
         kernel_h = dataclasses.replace(kernel_h, offset=off2)
 
-    if validate_nonlinearity:
-        fixedpoint.validate_growth(nl, m, T, np.random.default_rng(seed))
+    fixedpoint.validate_growth(nl, m, T, np.random.default_rng(seed))
 
     problem = fixedpoint.NonlocalProblem(op, basis, kernel_g, kernel_h, nl, T)
     return Realization(scenario, basis, form, op, fs, problem, grid, h,
@@ -268,18 +276,18 @@ def manufactured_errors(rz, traj):
 
 
 def refinement_sweep(scenario, m_list, h=None, fs_step=None, cfg=None,
-                     span_tol=None, probe_count=5, seed=0):
+                     seed=0):
     """Galerkin refinement sweep of a scenario over increasing mode counts."""
     fs_step = fs_step or scenario.fs_step
 
     def solve_level(m):
-        rz = realize(scenario, m=m, h=h, fs_step=fs_step, span_tol=span_tol,
+        # coarse levels need not resolve a manufactured solution
+        rz = realize(scenario, m=m, h=h, fs_step=fs_step, span_tol=None,
                      seed=seed)
         traj, report = solve_realization(rz, cfg)
         return fixedpoint.RefinementLevel(m, rz.basis, rz.fs, traj, report)
 
     return fixedpoint.galerkin_refine(solve_level, m_list,
-                                      probe_count=probe_count,
                                       rng=np.random.default_rng(seed))
 
 
@@ -344,13 +352,15 @@ def load_scenario(path):
         else:
             raise ConfigurationError(f"unknown domain kind {dom['kind']!r}")
         frm = cp["form"]
-        bounds = []
-        for key, val in frm.items():
-            if key.endswith("_lower"):
-                sym = key[:-6]
-                hi = frm.get(f"{sym}_upper")
-                bounds.append((sym, float(val),
-                               None if hi is None else float(hi)))
+
+        def limit(key):
+            return None if frm.get(key) is None else float(frm[key])
+
+        # a symbol may declare only one of its two limits
+        symbols = dict.fromkeys(key[:-6] for key in frm
+                                if key.endswith(("_lower", "_upper")))
+        bounds = [(sym, limit(f"{sym}_lower"), limit(f"{sym}_upper"))
+                  for sym in symbols]
         run = cp["run"] if cp.has_section("run") else {}
         return Scenario(
             name=sc.get("name", "custom"), kind=sc["kind"],

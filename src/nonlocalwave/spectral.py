@@ -212,9 +212,6 @@ class Trajectory:
     def sup_h_norm(self):
         return float(np.max(np.linalg.norm(self.u, axis=1)))
 
-    def copy(self):
-        return Trajectory(self.grid.copy(), self.u.copy(), self.v.copy())
-
 
 def zero_trajectory(grid, m):
     grid = np.asarray(grid, dtype=float)

@@ -142,22 +142,15 @@ def representation(fs, op, x0, y0, F, start=0, stop=None, u=None, v=None):
     return u, v
 
 
-def solve_undamped(p, fs, grid):
-    """Representation-formula solve on ``grid`` (each node must be an fs node)."""
-    if fs.kind != "undamped":
-        raise ConfigurationError("solve_undamped needs an undamped family")
-    return solve(p, fs, grid)
-
-
-def solve_damped(p, fs, grid):
-    """Damped representation u = v1 u0 + v2 u1 + int v2(t,s) f(s) ds."""
-    if fs.kind != "damped":
-        raise ConfigurationError("solve_damped needs a damped family")
-    return solve(p, fs, grid)
-
-
 def solve(p, fs, grid):
-    """Representation-formula solve for either family kind."""
+    """Representation-formula solve on ``grid`` (each node an fs node).
+
+    The table must be of ``p.op``'s kind, since the startup rule reads B(t)
+    from the operator."""
+    if p.op.kind != fs.kind:
+        raise ConfigurationError(
+            f"a {p.op.kind} operator needs a {p.op.kind} family, "
+            f"got a {fs.kind} one")
     grid, idx = _grid_indices(fs, grid)
     F = None
     if p.forcing is not None:

@@ -111,7 +111,7 @@ def test_criterion_4_representation_vs_direct_integration():
     for seed in range(20):
         p = random_smooth_problem(np.random.default_rng(seed))
         fs = nlw.fundamental_solution(p.op, grid, h=1e-3)
-        rep = nlw.solve_undamped(p, fs, grid)
+        rep = nlw.solve(p, fs, grid)
         direct = nlw.direct_integrate(p, 1e-3, grid=grid)
         worst = max(worst, float(np.max(np.linalg.norm(rep.u - direct.u,
                                                        axis=1))))
@@ -135,7 +135,7 @@ def test_criterion_5_damped_representation():
     g1 = np.linspace(0.0, 1.0, 41)
     fsd = nlw.fundamental_solution(opd, g1, h=1e-3)
     pd = nlw.LinearProblem(opd, np.array([1.0]), np.zeros(1), None, 1.0)
-    e_crit = abs(nlw.solve_damped(pd, fsd, g1).u[-1, 0] - 2.0 / np.e)
+    e_crit = abs(nlw.solve(pd, fsd, g1).u[-1, 0] - 2.0 / np.e)
     # resonance through the damped representation with B = 0
     op0 = nlw.damped_operator(lambda t: np.array([[1.0]]),
                               lambda t: np.zeros((1, 1)), 1)
@@ -143,13 +143,13 @@ def test_criterion_5_damped_representation():
     fs0 = nlw.fundamental_solution(op0, gp, h=1e-3)
     pr = nlw.LinearProblem(op0, np.zeros(1), np.zeros(1),
                            lambda t: np.array([np.sin(t)]), np.pi)
-    e_res = abs(nlw.solve_damped(pr, fs0, gp).u[-1, 0] - np.pi / 2)
+    e_res = abs(nlw.solve(pr, fs0, gp).u[-1, 0] - np.pi / 2)
     # B = 0 consistency against the undamped path
     opu = nlw.undamped_operator(lambda t: np.array([[1.0]]), 1)
     fsu = nlw.fundamental_solution(opu, gp, h=1e-3)
     pu = nlw.LinearProblem(opu, np.zeros(1), np.zeros(1), pr.forcing, np.pi)
-    e_b0 = np.abs(nlw.solve_damped(pr, fs0, gp).u
-                  - nlw.solve_undamped(pu, fsu, gp).u).max()
+    e_b0 = np.abs(nlw.solve(pr, fs0, gp).u
+                  - nlw.solve(pu, fsu, gp).u).max()
     ok = e_crit < 1e-6 and e_res < 1e-6 and e_b0 < 1e-9
     _line(5, "damped representation", ok,
           f"critical u(1) err {e_crit:.3e}, resonance u(pi) err {e_res:.3e} "

@@ -72,6 +72,20 @@ def test_certify_violated_bound_exits_2(tmp_path):
     assert manifest["witness"]["point"] is not None
 
 
+def test_config_with_misspelt_kind_exits_1(tmp_path):
+    # before the check, kind "undampd" certified "1 + t" under the damped
+    # symbols, so its declared a <= 1.5 was never tested
+    cfg_file = tmp_path / "typo.cfg"
+    sc = dataclasses.replace(nlw.scenario_undamped_neumann(),
+                             gradient_coef="1 + t", m=4)
+    nlw.save_scenario(sc, cfg_file)
+    cfg_file.write_text(cfg_file.read_text().replace("kind = undamped",
+                                                     "kind = undampd"))
+    rc, _, manifest = run(tmp_path, "typo", command="certify",
+                          config=str(cfg_file))
+    assert rc == 1 and "undampd" in manifest["error"]
+
+
 def test_axioms_command(tmp_path):
     rc, out, manifest = run(tmp_path, "ax", command="axioms",
                             scenario="undamped_neumann", m="8")

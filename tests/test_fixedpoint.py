@@ -272,6 +272,12 @@ def test_relaxed_homotopy_starts_at_zero(harmonic_setup):
     assert abs(traj.u[0, 0] - 2.0) < 1e-6
 
 
+@pytest.mark.parametrize("mode", ["never", "alwyas"])
+def test_solve_config_rejects_unknown_homotopy_mode(mode):
+    with pytest.raises(ConfigurationError, match="homotopy"):
+        nlw.SolveConfig(homotopy=mode)
+
+
 def test_stalled_homotopy_reports_measured_growth_excess(harmonic_setup,
                                                          monkeypatch):
     # gamma = 2 makes lambda T(w) expansive beyond lambda ~ 1/2, so the

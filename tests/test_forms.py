@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import nonlocalwave as nlw
-from nonlocalwave import CertificationError, ConfigurationError
+from nonlocalwave import CertificationError, ConfigurationError, quadrature
 from nonlocalwave.forms import vvprime_norm
 
 
@@ -22,28 +22,28 @@ def form(grad, zeroth, damping=None, T=1.0, **bounds):
 
 def test_assemble_laplacian_diagonal(basis3):
     A = nlw.assemble(form("1", None), basis3, 0.0)
-    np.testing.assert_allclose(A.entries, np.diag([0.0, 1.0, 4.0]), atol=1e-12)
+    np.testing.assert_allclose(A, np.diag([0.0, 1.0, 4.0]), atol=1e-12)
 
 
 def test_assemble_identity_shift(basis3):
     A = nlw.assemble(form("1", "1"), basis3, 0.0)
-    np.testing.assert_allclose(A.entries, np.diag([1.0, 2.0, 5.0]), atol=1e-12)
+    np.testing.assert_allclose(A, np.diag([1.0, 2.0, 5.0]), atol=1e-12)
 
 
 def test_assemble_time_scaling(basis3):
     A = nlw.assemble(form("1+t", None), basis3, 1.0)
-    np.testing.assert_allclose(A.entries, np.diag([0.0, 2.0, 8.0]), atol=1e-11)
+    np.testing.assert_allclose(A, np.diag([0.0, 2.0, 8.0]), atol=1e-11)
 
 
 def test_assemble_hermitian_for_variable_coefficients():
     b = nlw.build_basis(nlw.interval(np.pi), 8)
-    A = nlw.assemble(form("1 + cos(x)/2", "1 + x/4"), b, 0.3).entries
+    A = nlw.assemble(form("1 + cos(x)/2", "1 + x/4"), b, 0.3)
     assert np.max(np.abs(A - A.conj().T)) < 1e-12
 
 
 def test_assemble_damping(basis3):
     M = nlw.assemble_damping(form("1", None, damping="2"), basis3, 0.0)
-    np.testing.assert_allclose(M.entries, 2.0 * np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(M, 2.0 * np.eye(3), atol=1e-12)
     with pytest.raises(ConfigurationError):
         nlw.assemble_damping(form("1", None), basis3, 0.0)
 
@@ -51,13 +51,13 @@ def test_assemble_damping(basis3):
 def test_build_Am_full_projection_is_identity(basis3):
     A = nlw.assemble(form("1", "1"), basis3, 0.0)
     Am = nlw.build_Am(A, basis3, 3, alpha=1.0)
-    np.testing.assert_allclose(Am.entries, A.entries)
+    np.testing.assert_allclose(Am, A)
 
 
 def test_build_Am_block_structure(basis3):
     A = nlw.assemble(form("1", None), basis3, 0.0)
     Am = nlw.build_Am(A, basis3, 2, alpha=1.0)
-    np.testing.assert_allclose(Am.entries, np.diag([0.0, 1.0, 5.0]), atol=1e-12)
+    np.testing.assert_allclose(Am, np.diag([0.0, 1.0, 5.0]), atol=1e-12)
     with pytest.raises(ConfigurationError):
         nlw.build_Am(A, basis3, 4, alpha=1.0)
 
@@ -72,9 +72,9 @@ def test_build_Am_acts_as_projected_operator(rng):
     for _ in range(5):
         u = np.zeros(8)
         u[:m_sub] = rng.standard_normal(m_sub)
-        full = A.entries @ u
+        full = A @ u
         full[m_sub:] = 0.0                      # P_{m_sub} A u
-        np.testing.assert_allclose(Am.entries @ u, full, atol=1e-12)
+        np.testing.assert_allclose(Am @ u, full, atol=1e-12)
 
 
 def test_certify_shifted_coercivity():
@@ -124,7 +124,7 @@ def test_certified_bound_is_sharp_on_random_times(basis_pi8, rng):
     cert = nlw.certify(f, basis_pi8)
     vw = basis_pi8.v_weights
     for t in rng.uniform(0.0, 1.0, 100):
-        A = nlw.assemble(f, basis_pi8, t).entries
+        A = nlw.assemble(f, basis_pi8, t)
         assert vvprime_norm(A, vw) <= cert.bound_c * (1.0 + 1e-8)
 
 
@@ -134,7 +134,7 @@ def test_coercivity_witnessed_on_random_vectors(basis_pi8, rng):
     for _ in range(100):
         t = rng.uniform(0.0, 1.0)
         u = rng.standard_normal(8)
-        A = nlw.assemble(f, basis_pi8, t).entries
+        A = nlw.assemble(f, basis_pi8, t)
         _, v = nlw.norms(basis_pi8, u)
         quad = float(u @ A @ u) + cert.shift * float(u @ u)
         assert quad >= cert.coercivity_alpha * v ** 2 - 1e-10
@@ -179,3 +179,61 @@ def test_kernel_lipschitz_rejects_nonfinite(basis_pi8):
     with pytest.raises(ConfigurationError):
         nlw.kernel_lipschitz(k, basis_pi8)
 
+
+
+def kernel_lipschitz_per_sample(kernel, basis):
+    """One evaluator call and one gradient per sample time: the loop the
+    batched kernel_lipschitz replaces."""
+    if basis.nodes_y is None:
+        xs, ys = np.linspace(0.0, basis.domain.lengths[0], 513), None
+    else:
+        g1 = np.linspace(0.0, basis.domain.lengths[0], 65)
+        g2 = np.linspace(0.0, basis.domain.lengths[1], 65)
+        xs, ys = np.repeat(g1, 65), np.tile(g2, 65)
+    times = np.linspace(0.0, kernel.horizon, 129)
+    sup_val, sup_grad = [], []
+    for t in times:
+        vals = np.broadcast_to(kernel.evaluator(t, xs, ys), xs.shape)
+        sup_val.append(np.abs(vals).max())
+        if kernel.expression is not None:
+            e = kernel.expression
+            gx = e.diff("x")(t=t, x=xs, y=0.0 if ys is None else ys)
+            gy = 0.0 if ys is None else e.diff("y")(t=t, x=xs, y=ys)
+        else:
+            eps, ev = 1e-6, kernel.evaluator
+            gx = (ev(t, xs + eps, ys) - ev(t, xs - eps, ys)) / (2 * eps)
+            gy = 0.0 if ys is None else \
+                (ev(t, xs, ys + eps) - ev(t, xs, ys - eps)) / (2 * eps)
+        sup_grad.append(np.broadcast_to(np.hypot(gx, gy), xs.shape).max())
+    w = quadrature.composite_weights(times)
+    return (np.sqrt(np.sum(w * np.square(sup_val))),
+            np.sqrt(np.sum(w * np.square(sup_grad))))
+
+
+KERNELS = {
+    "time-only": "exp(-t)",
+    "x-dependent": "(1 + t)*cos(x)*cos(y) + sin(2*t)*x",
+    "callable": lambda s, x, y: np.exp(-s) * np.sin(x)
+    * (1.0 if y is None else np.cos(y)),
+}
+
+
+@pytest.mark.parametrize("domain", ["interval", "rectangle"])
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_kernel_lipschitz_matches_per_sample_loop(name, domain):
+    dom = nlw.interval(np.pi) if domain == "interval" else \
+        nlw.rectangle(np.pi, 2.0)
+    basis = nlw.build_basis(dom, 4)
+    kernel = nlw.nonlocal_kernel(KERNELS[name], 1.5)
+    got = nlw.kernel_lipschitz(kernel, basis)
+    want = kernel_lipschitz_per_sample(kernel, basis)
+    assert want[0] > 0.0 and (want[1] > 0.0) == (name != "time-only")
+    np.testing.assert_allclose(tuple(got), want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_kernel_lipschitz_names_first_nonfinite_time(basis_pi8):
+    # finite up to t = 0.75 exclusive; the sample times are k/128
+    k = nlw.NonlocalKernel(lambda s, x, y=None: x * np.log(0.75 - s), 1.0)
+    with pytest.raises(ConfigurationError, match=r"t=0\.75$"):
+        nlw.kernel_lipschitz(k, basis_pi8)

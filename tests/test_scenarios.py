@@ -130,8 +130,11 @@ def test_kind_damping_consistency_check():
 
 
 def test_scenario_round_trip(tmp_path):
+    one_sided = dataclasses.replace(
+        nlw.scenario_undamped_neumann(), name="one_sided",
+        bounds=(("a", None, 1.5), ("c", 1.0, None)))
     for sc in (nlw.scenario_undamped_neumann(), nlw.scenario_population(),
-               nlw.builtin_scenarios()["manufactured_coscos"]):
+               nlw.builtin_scenarios()["manufactured_coscos"], one_sided):
         path = tmp_path / f"{sc.name}.cfg"
         nlw.save_scenario(sc, path)
         back = nlw.load_scenario(path)
@@ -142,6 +145,18 @@ def test_scenario_round_trip(tmp_path):
         assert back.manufactured_u == sc.manufactured_u
         assert back.horizon == sc.horizon
         assert set(back.bounds) == set(sc.bounds)
+
+
+@pytest.mark.parametrize("line, typo", [("kind = undamped", "undampd"),
+                                        ("engine = relaxed", "contraciton")])
+def test_load_rejects_misspelt_kind_or_engine(tmp_path, line, typo):
+    path = tmp_path / "typo.cfg"
+    nlw.save_scenario(nlw.scenario_undamped_neumann(), path)
+    text = path.read_text()
+    assert text.count(line) == 1
+    path.write_text(text.replace(line, line.split(" = ")[0] + " = " + typo))
+    with pytest.raises(ConfigurationError, match=typo):
+        nlw.load_scenario(path)
 
 
 def test_load_rejects_missing_file(tmp_path):

@@ -26,7 +26,7 @@ def harmonic_fs():
 def test_homogeneous_solution_is_pure_propagation(harmonic_fs):
     op, fs = harmonic_fs
     p = nlw.LinearProblem(op, np.array([0.7]), np.array([-0.3]), None, np.pi)
-    traj = nlw.solve_undamped(p, fs, fs.time_grid)
+    traj = nlw.solve(p, fs, fs.time_grid)
     for i in range(fs.n_nodes):
         expect = fs.C(i, 0) @ p.u0 + fs.S(i, 0) @ p.u1
         np.testing.assert_allclose(traj.u[i], expect, atol=1e-14)
@@ -37,7 +37,7 @@ def test_constant_forcing_closed_form(harmonic_fs):
     op, fs = harmonic_fs
     p = nlw.LinearProblem(op, np.zeros(1), np.zeros(1),
                           lambda t: np.array([1.0]), np.pi)
-    traj = nlw.solve_undamped(p, fs, fs.time_grid)
+    traj = nlw.solve(p, fs, fs.time_grid)
     assert abs(traj.u[-1, 0] - 2.0) < 1e-7
     np.testing.assert_allclose(traj.u[:, 0], 1.0 - np.cos(fs.time_grid),
                                atol=1e-7)
@@ -46,7 +46,7 @@ def test_constant_forcing_closed_form(harmonic_fs):
 def test_zero_problem_gives_zero(harmonic_fs):
     op, fs = harmonic_fs
     p = nlw.LinearProblem(op, np.zeros(1), np.zeros(1), None, np.pi)
-    traj = nlw.solve_undamped(p, fs, fs.time_grid)
+    traj = nlw.solve(p, fs, fs.time_grid)
     assert traj.sup_h_norm() == 0.0
     direct = nlw.direct_integrate(p, 1e-2)
     assert direct.sup_h_norm() == 0.0
@@ -56,14 +56,20 @@ def test_output_grid_must_refine_fs_grid(harmonic_fs):
     op, fs = harmonic_fs
     p = nlw.LinearProblem(op, np.zeros(1), np.zeros(1), None, np.pi)
     with pytest.raises(ConfigurationError):
-        nlw.solve_undamped(p, fs, np.linspace(0, np.pi, 7))
+        nlw.solve(p, fs, np.linspace(0, np.pi, 7))
 
 
 def test_solver_kind_dispatch(harmonic_fs):
+    # the table must be of the operator's kind, or the startup term would
+    # read the wrong B(t): both mismatches are rejected
     op, fs = harmonic_fs
-    p = nlw.LinearProblem(op, np.zeros(1), np.zeros(1), None, np.pi)
-    with pytest.raises(ConfigurationError):
-        nlw.solve_damped(p, fs, fs.time_grid)
+    damped_op = scalar_op(1.0, 0.5)
+    damped_fs = nlw.fundamental_solution(damped_op, fs.time_grid, h=1e-3)
+    for p_op, table in ((op, damped_fs), (damped_op, fs)):
+        p = nlw.LinearProblem(p_op, np.zeros(1), np.ones(1),
+                              lambda t: np.array([1.0]), np.pi)
+        with pytest.raises(ConfigurationError, match="family"):
+            nlw.solve(p, table, table.time_grid)
 
 
 def test_damped_critical_closed_form():
@@ -71,7 +77,7 @@ def test_damped_critical_closed_form():
     grid = np.linspace(0.0, 1.0, 41)
     fs = nlw.fundamental_solution(op, grid, h=1e-3)
     p = nlw.LinearProblem(op, np.array([1.0]), np.zeros(1), None, 1.0)
-    traj = nlw.solve_damped(p, fs, grid)
+    traj = nlw.solve(p, fs, grid)
     assert abs(traj.u[-1, 0] - 2.0 / np.e) < 1e-9
     np.testing.assert_allclose(traj.u[:, 0], (1 + grid) * np.exp(-grid),
                                atol=1e-9)
@@ -84,7 +90,7 @@ def test_damped_first_order_reduction_closed_form():
     fs = nlw.fundamental_solution(op, grid, h=1e-3)
     p = nlw.LinearProblem(op, np.zeros(1), np.zeros(1),
                           lambda t: np.array([1.0]), 1.0)
-    traj = nlw.solve_damped(p, fs, grid)
+    traj = nlw.solve(p, fs, grid)
     assert abs(traj.u[-1, 0] - 1.0 / np.e) < 1e-7
 
 
@@ -98,8 +104,8 @@ def test_zero_damping_consistent_with_undamped_path():
     forcing = lambda t: np.array([np.cos(2 * t)])
     pu = nlw.LinearProblem(op_u, np.array([0.4]), np.array([-0.2]), forcing, 1.0)
     pd = nlw.LinearProblem(op_d, np.array([0.4]), np.array([-0.2]), forcing, 1.0)
-    tu = nlw.solve_undamped(pu, fs_u, grid)
-    td = nlw.solve_damped(pd, fs_d, grid)
+    tu = nlw.solve(pu, fs_u, grid)
+    td = nlw.solve(pd, fs_d, grid)
     assert np.abs(tu.u - td.u).max() < 1e-9
 
 
@@ -112,7 +118,7 @@ def test_resonance_closed_form_direct():
     direct = nlw.direct_integrate(p, 1e-3, grid=grid)
     assert abs(direct.u[-1, 0] - np.pi / 2) < 1e-6
     fs = nlw.fundamental_solution(op, grid, h=1e-3)
-    rep = nlw.solve_undamped(p, fs, grid)
+    rep = nlw.solve(p, fs, grid)
     assert abs(rep.u[-1, 0] - np.pi / 2) < 1e-6
 
 
@@ -124,7 +130,7 @@ def test_oracle_equivalence_small_batch():
     for seed in range(5):
         p = random_smooth_problem(np.random.default_rng(seed))
         fs = nlw.fundamental_solution(p.op, grid, h=1e-3)
-        rep = nlw.solve_undamped(p, fs, grid)
+        rep = nlw.solve(p, fs, grid)
         direct = nlw.direct_integrate(p, 1e-3, grid=grid)
         disagree = np.max(np.linalg.norm(rep.u - direct.u, axis=1))
         assert disagree < 1e-6
@@ -160,9 +166,9 @@ def test_linearity_superposition(rng):
     p3 = nlw.LinearProblem(
         op, al * p1.u0 + be * p2.u0, al * p1.u1 + be * p2.u1,
         lambda t: al * p1.forcing(t) + be * p2.forcing(t), 1.0)
-    t1 = nlw.solve_undamped(p1, fs, grid)
-    t2 = nlw.solve_undamped(p2, fs, grid)
-    t3 = nlw.solve_undamped(p3, fs, grid)
+    t1 = nlw.solve(p1, fs, grid)
+    t2 = nlw.solve(p2, fs, grid)
+    t3 = nlw.solve(p3, fs, grid)
     assert np.abs(t3.u - (al * t1.u + be * t2.u)).max() < 1e-10
 
 
@@ -171,7 +177,7 @@ def test_gronwall_bound_for_linear_trajectories():
     for seed in range(5):
         p = random_smooth_problem(np.random.default_rng(100 + seed))
         fs = nlw.fundamental_solution(p.op, grid, h=1e-3)
-        traj = nlw.solve_undamped(p, fs, grid)
+        traj = nlw.solve(p, fs, grid)
         sup = fs.sup_norms()
         b_l1 = np.trapezoid(
             [np.linalg.norm(p.forcing(t)) for t in grid], grid)
@@ -203,7 +209,7 @@ def test_residual_of_solver_output():
     fs = nlw.fundamental_solution(op, grid, h=1e-3)
     p = nlw.LinearProblem(op, np.array([1.0]), np.zeros(1),
                           lambda t: np.array([np.sin(2 * t)]), np.pi)
-    traj = nlw.solve_undamped(p, fs, grid)
+    traj = nlw.solve(p, fs, grid)
     r = nlw.residual(traj, op, np.sin(2 * grid)[:, None], p.u0, p.u1)
     assert r.equation < 1e-4
     assert r.ic_u < 1e-12 and r.ic_v < 1e-12
