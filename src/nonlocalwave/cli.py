@@ -61,21 +61,31 @@ def _resolve_scenario(cfg):
     raise ConfigurationError("one of --scenario or --config is required")
 
 
+def _check_m(m):
+    if not 1 <= m <= _MAX_M:
+        raise ConfigurationError(f"m={m} outside the validated range 1..{_MAX_M}")
+    return m
+
+
 def _parse_m(cfg):
     if cfg.m is None:
         return None
-    parts = [int(p) for p in str(cfg.m).split(",") if p.strip()]
-    for m in parts:
-        if not 1 <= m <= _MAX_M:
-            raise ConfigurationError(f"m={m} outside the validated range 1..{_MAX_M}")
-    return parts
+    try:
+        return [_check_m(int(p)) for p in str(cfg.m).split(",") if p.strip()]
+    except ValueError:
+        raise ConfigurationError(
+            f"--m must be an integer or a comma list of integers, "
+            f"got {cfg.m!r}") from None
 
 
 def _validate(cfg):
-    if cfg.h is not None and cfg.h < _MIN_H:
-        raise ConfigurationError(f"h={cfg.h} below the validated minimum {_MIN_H}")
-    if cfg.tol is not None and cfg.tol <= 0:
-        raise ConfigurationError("tol must be positive")
+    if cfg.h is not None and not (np.isfinite(cfg.h) and cfg.h >= _MIN_H):
+        raise ConfigurationError(
+            f"h={cfg.h} is not a finite step of at least {_MIN_H}")
+    if cfg.tol is not None and not (np.isfinite(cfg.tol) and cfg.tol > 0):
+        raise ConfigurationError(f"tol={cfg.tol} must be finite and positive")
+    if cfg.seed < 0:
+        raise ConfigurationError(f"seed={cfg.seed} must be >= 0")
 
 
 def _jsonable(obj):
@@ -160,7 +170,7 @@ def run(cfg):
         m = m_list[0] if (m_list and cfg.command != "converge") else None
         h = cfg.h
         tol = cfg.tol
-        manifest = _base_manifest(cfg, scenario, m or scenario.m,
+        manifest = _base_manifest(cfg, scenario, _check_m(m or scenario.m),
                                   h or scenario.h)
 
         if cfg.command == "certify":

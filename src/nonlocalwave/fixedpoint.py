@@ -327,9 +327,18 @@ def _measured_ratio(updates, tol):
     return max(ratios) if ratios else None
 
 
-def _finalise(problem, fs, w, report, cfg, sup_w, r1, r2):
+def _nonlocal_data(problem, w, report):
+    """The nonlocal data (g(w), h(w)), raising ``report.r1`` and
+    ``report.r2`` to their norms when these are larger."""
     x = apply_kernel(problem.kernel_g, w, problem.basis)
     y = apply_kernel(problem.kernel_h, w, problem.basis)
+    report.r1 = max(report.r1, float(np.linalg.norm(x)))
+    report.r2 = max(report.r2, float(np.linalg.norm(y)))
+    return x, y
+
+
+def _finalise(problem, fs, w, report, cfg, sup_w):
+    x, y = _nonlocal_data(problem, w, report)
     report.residual_ic_u = float(np.linalg.norm(w.u[0] - x))
     report.residual_ic_v = float(np.linalg.norm(w.v[0] - y))
     nl = problem.nonlinearity
@@ -339,8 +348,6 @@ def _finalise(problem, fs, w, report, cfg, sup_w, r1, r2):
     a, b = nl.ball_growth(fs.m)
     b_l1 = float(quadrature.integrate(np.abs(_b_samples(b, fs.time_grid)),
                                       fs.time_grid))
-    report.r1, report.r2 = max(r1, float(np.linalg.norm(x))), \
-        max(r2, float(np.linalg.norm(y)))
     report.gronwall_radius = gronwall_radius(
         report.m1, report.m2, report.r1, report.r2, b_l1, a, problem.horizon)
     report.gronwall_ok = bool(
@@ -378,30 +385,30 @@ def contraction_solve(problem, fs, cfg=None):
     q_duhamel = L * m2t
     q = q_nonlocal + q_duhamel
 
-    partition = None
-    t_star = None
+    # sub-intervals of `stride` grid steps, forced or predicted
+    stride = None
+    dt = grid[1] - grid[0]
     message = ""
     if cfg.force_partition:
         stride = max(1, int(np.ceil((grid.size - 1) / cfg.force_partition)))
-        partition = sorted(set(
-            list(range(0, grid.size - 1, stride)) + [grid.size - 1]))
-        t_star = stride * (grid[1] - grid[0])
         message = f"partition of {cfg.force_partition} chunks forced by config"
     elif q >= 1.0:
         if L > 0 and m2 > 0 and q_nonlocal <= SAFETY:
             tau = (SAFETY - q_nonlocal) / (L * m2)
-            dt = grid[1] - grid[0]
             stride = max(1, int(np.floor(tau / dt + 1e-12)))
-            if stride < grid.size - 1:
-                idx = list(range(0, grid.size - 1, stride)) + [grid.size - 1]
-                partition = sorted(set(idx))
-                t_star = stride * dt
-                message = (f"predicted q={q:.4g} >= 1; partitioned with "
-                           f"T*={t_star:.4g}")
-        if partition is None:
+            if stride >= grid.size - 1:
+                stride = None
+        if stride is None:
             message = (f"predicted q={q:.4g} >= 1 and the nonlocal part "
                        f"{q_nonlocal:.4g} is irreducible by partition; "
                        "running the global iteration")
+        else:
+            message = (f"predicted q={q:.4g} >= 1; partitioned with "
+                       f"T*={stride * dt:.4g}")
+    partition = t_star = None
+    if stride is not None:
+        partition = list(range(0, grid.size - 1, stride)) + [grid.size - 1]
+        t_star = stride * dt
 
     report = FixedPointReport(
         method="contraction", converged=False, iterations=0,
@@ -411,12 +418,8 @@ def contraction_solve(problem, fs, cfg=None):
 
     w = zero_trajectory(grid, fs.m)
     sup_w = []
-    r1 = r2 = 0.0
     for k in range(1, cfg.max_iter + 1):
-        x0 = apply_kernel(problem.kernel_g, w, problem.basis)
-        y0 = apply_kernel(problem.kernel_h, w, problem.basis)
-        r1, r2 = max(r1, float(np.linalg.norm(x0))), \
-            max(r2, float(np.linalg.norm(y0)))
+        x0, y0 = _nonlocal_data(problem, w, report)
         w_new = _solution_map(problem, fs, w, x0, y0, partition, cfg)
         upd = float(np.max(np.linalg.norm(w_new.u - w.u, axis=1)))
         if not np.isfinite(upd):
@@ -430,7 +433,7 @@ def contraction_solve(problem, fs, cfg=None):
         if upd < cfg.tol:
             report.converged = True
             break
-    _finalise(problem, fs, w, report, cfg, sup_w, r1, r2)
+    _finalise(problem, fs, w, report, cfg, sup_w)
     if not report.converged:
         report.message += " | no convergence within max_iter"
         raise NonconvergenceError(
@@ -441,18 +444,14 @@ def contraction_solve(problem, fs, cfg=None):
 
 
 def _picard(problem, fs, w, tol, budget, report, sup_w, scale=1.0):
-    """Picard phase w <- scale * T(w); returns (w, converged, r1, r2).
+    """Picard phase w <- scale * T(w); returns (w, converged).
 
     Stagnation is judged on this phase's own update norms, not the
     accumulated record, so homotopy stages do not see each other's tails.
     """
-    r1 = r2 = 0.0
     local = []
     for _ in range(budget):
-        x0 = apply_kernel(problem.kernel_g, w, problem.basis)
-        y0 = apply_kernel(problem.kernel_h, w, problem.basis)
-        r1, r2 = max(r1, float(np.linalg.norm(x0))), \
-            max(r2, float(np.linalg.norm(y0)))
+        x0, y0 = _nonlocal_data(problem, w, report)
         target = _solution_map(problem, fs, w, x0, y0)
         if scale != 1.0:
             target.u *= scale
@@ -464,12 +463,12 @@ def _picard(problem, fs, w, tol, budget, report, sup_w, scale=1.0):
         report.iterations += 1
         sup_w.append(w.sup_h_norm())
         if not np.isfinite(upd):
-            return w, False, r1, r2
+            return w, False
         if upd < tol:
-            return w, True, r1, r2
+            return w, True
         if len(local) >= 10 and local[-1] > 0.98 * local[-5]:
-            return w, False, r1, r2
-    return w, False, r1, r2
+            return w, False
+    return w, False
 
 
 def relaxed_solve(problem, fs, cfg=None):
@@ -487,23 +486,17 @@ def relaxed_solve(problem, fs, cfg=None):
     report = FixedPointReport(method="relaxed", converged=False, iterations=0,
                               m1=m1, m2=m2, m2t=m2t)
     # bounds r1, r2 verified on random probe trajectories
-    r1 = r2 = 0.0
     for _ in range(PROBE_COUNT):
-        probe = Trajectory(
+        _nonlocal_data(problem, Trajectory(
             grid, rng.standard_normal((grid.size, fs.m)) * PROBE_RADIUS,
-            np.zeros((grid.size, fs.m)))
-        r1 = max(r1, float(np.linalg.norm(
-            apply_kernel(problem.kernel_g, probe, problem.basis))))
-        r2 = max(r2, float(np.linalg.norm(
-            apply_kernel(problem.kernel_h, probe, problem.basis))))
+            np.zeros((grid.size, fs.m))), report)
 
     sup_w = []
     w = zero_trajectory(grid, fs.m)
     converged = False
     if cfg.homotopy == "auto":
-        w, converged, p1, p2 = _picard(problem, fs, w, cfg.tol, cfg.max_iter,
-                                       report, sup_w)
-        r1, r2 = max(r1, p1), max(r2, p2)
+        w, converged = _picard(problem, fs, w, cfg.tol, cfg.max_iter,
+                               report, sup_w)
         report.lambda_reached = 1.0 if converged else 0.0
 
     if not converged:
@@ -514,10 +507,8 @@ def relaxed_solve(problem, fs, cfg=None):
         lam_list = np.linspace(0.0, 1.0, LAMBDA_STEPS).tolist()
         while i < len(lam_list):
             lam = lam_list[i]
-            trial, ok, p1, p2 = _picard(problem, fs, w, cfg.tol,
-                                        INNER_MAX_ITER, report, sup_w,
-                                        scale=lam)
-            r1, r2 = max(r1, p1), max(r2, p2)
+            trial, ok = _picard(problem, fs, w, cfg.tol, INNER_MAX_ITER,
+                                report, sup_w, scale=lam)
             if ok:
                 w = trial
                 report.lambda_reached = lam
@@ -532,11 +523,11 @@ def relaxed_solve(problem, fs, cfg=None):
                 continue
             report.message = (f"homotopy stalled at lambda="
                               f"{report.lambda_reached:.3g}")
-            _finalise(problem, fs, w, report, cfg, sup_w, r1, r2)
+            _finalise(problem, fs, w, report, cfg, sup_w)
             raise NonconvergenceError(report.message, report=report)
 
     report.converged = True
-    _finalise(problem, fs, w, report, cfg, sup_w, r1, r2)
+    _finalise(problem, fs, w, report, cfg, sup_w)
     return w, report
 
 

@@ -89,56 +89,47 @@ def validate_step(op, horizon, h):
             f"(need h <= {STABILITY_LIMIT / freq:.4g})")
 
 
-class _Stepper:
-    """RK4 stages for the linear block system, reusing endpoint matrices."""
-
-    def __init__(self, op, forcing=None):
-        self.op = op
-        self.m = op.dim
-        self.forcing = forcing
-        self._a_end = None
-        self._b_end = None
-        self._t_end = None
-
-    def _mats(self, t):
-        if self._t_end is not None and t == self._t_end:
-            return self._a_end, self._b_end
-        A = np.asarray(self.op.a_of_t(t))
-        B = None if self.op.b_of_t is None else np.asarray(self.op.b_of_t(t))
-        return A, B
-
-    def _apply(self, A, B, X, t):
-        m = self.m
-        top = X[m:]
-        bottom = -(A @ X[:m])
-        if B is not None:
-            bottom = bottom - B @ X[m:]
-        if self.forcing is not None:
-            f = self.forcing(t)
-            bottom = bottom + (f if X.ndim == 1 else f[:, None])
-        return np.concatenate([top, bottom], axis=0)
-
-    def step(self, t, dt, X):
-        A0, B0 = self._mats(t)
-        Am, Bm = self._mats(t + 0.5 * dt)
-        A1, B1 = self._mats(t + dt)
-        self._t_end, self._a_end, self._b_end = t + dt, A1, B1
-        k1 = self._apply(A0, B0, X, t)
-        k2 = self._apply(Am, Bm, X + (0.5 * dt) * k1, t + 0.5 * dt)
-        k3 = self._apply(Am, Bm, X + (0.5 * dt) * k2, t + 0.5 * dt)
-        k4 = self._apply(A1, B1, X + dt * k3, t + dt)
-        return X + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _span(op, t0, t1, X, h, forcing=None, check_every_step=True):
-    """Integrate from t0 to t1 (either direction) with substeps of size <= h."""
+    """Integrate the block system from t0 to t1 (either direction) with
+    classical RK4 substeps of size <= h; the one substep loop of the package.
+
+    ``X`` is a state (2m,) or a stack of states (2m, k); ``forcing`` maps t
+    to the second-block vector f(t).  The stage matrices are evaluated at
+    each substep's start, midpoint and end, and a substep starting exactly
+    where the previous one ended reuses that end's matrices.
+    """
     if t1 == t0:
         return X
     n = max(1, int(np.ceil(abs(t1 - t0) / h - 1e-12)))
     dt = (t1 - t0) / n
-    stepper = _Stepper(op, forcing)
+    m = op.dim
+
+    def mats(t):
+        A = np.asarray(op.a_of_t(t))
+        B = None if op.b_of_t is None else np.asarray(op.b_of_t(t))
+        return A, B
+
+    def rhs(A, B, X, t):
+        bottom = -(A @ X[:m])
+        if B is not None:
+            bottom = bottom - B @ X[m:]
+        if forcing is not None:
+            f = forcing(t)
+            bottom = bottom + (f if X.ndim == 1 else f[:, None])
+        return np.concatenate([X[m:], bottom], axis=0)
+
+    t_end = end = None
     for k in range(n):
-        X = stepper.step(t0 + k * dt, dt, X)
+        t = t0 + k * dt
+        A0, B0 = end if t == t_end else mats(t)
+        Am, Bm = mats(t + 0.5 * dt)
+        t_end, end = t + dt, mats(t + dt)
+        A1, B1 = end
+        k1 = rhs(A0, B0, X, t)
+        k2 = rhs(Am, Bm, X + (0.5 * dt) * k1, t + 0.5 * dt)
+        k3 = rhs(Am, Bm, X + (0.5 * dt) * k2, t + 0.5 * dt)
+        k4 = rhs(A1, B1, X + dt * k3, t + dt)
+        X = X + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if check_every_step and not np.all(np.isfinite(X)):
             raise PropagationError(
                 f"non-finite state at step {k} (t ~ {t0 + (k + 1) * dt:.6g})",
@@ -333,7 +324,18 @@ class AxiomReport:
 
 
 def check_axioms(fs, op, fd_delta=5e-5):
-    """Measure the fundamental-solution axiom defects of a tabulated family."""
+    """Measure the fundamental-solution axiom defects of a tabulated family.
+
+    One pass over the rows i of the table checks every stored pair
+    (i, j), j <= i, of the row at once: (S2)(a) and its C-block analogue
+    by +-delta refinement in t, through the short maps E(t_i +- delta, t_i)
+    built for the row; the empirical Lipschitz constants against row i - 1;
+    composition E(t_i,t_k)E(t_k,s_j) = E(t_i,s_j) and its upper-right
+    quadrant (S4) for every middle node k; and the s-side identities
+    through the maps E(s_j, s_j +- delta), built once per node.  A(t) (and
+    B(t) for damped families) is assembled once per node and shared by
+    both sides.
+    """
     if fs.n_nodes < 4:
         raise ConfigurationError("axiom check needs a grid with >= 4 nodes")
     grid = fs.time_grid
@@ -341,6 +343,7 @@ def check_axioms(fs, op, fd_delta=5e-5):
     N = fs.n_nodes
     eye = np.eye(m)
     damped = fs.kind == "damped"
+    d = fd_delta
 
     def worst(stack):
         return float(np.linalg.norm(stack, 2, axis=(1, 2)).max())
@@ -351,66 +354,48 @@ def check_axioms(fs, op, fd_delta=5e-5):
 
     sup = fs.sup_norms()
 
-    # empirical Lipschitz constants: E(t_{i+1}, s_j) - E(t_i, s_j) for every
-    # j <= i at once
-    lip_s = lip_c = 0.0
-    for i in range(N - 1):
-        diff = fs.row(i + 1)[:i + 1] - fs.row(i)
-        dt = grid[i + 1] - grid[i]
-        lip_s = max(lip_s, worst(diff[:, :m, m:]) / dt)
-        lip_c = max(lip_c, worst(diff[:, :m, :m]) / dt)
-
-    # composition E(t_i,t_k)E(t_k,s_j) = E(t_i,s_j) over all j <= k at once;
-    # (S4), C(t,r)S(r,s) + S(t,r)dS(r,s) = S(t,s), is the upper-right
-    # quadrant of the same product
-    comp = 0.0
-    s4 = 0.0
-    for i in range(N):
-        row_i = fs.row(i)
-        for k in range(i + 1):
-            defect = fs.E(i, k) @ fs.row(k) - row_i[:k + 1]
-            comp = max(comp, worst(defect))
-            s4 = max(s4, worst(defect[:, :m, m:]))
-
-    # (S2)(a) and its C-block analogue, by +-delta refinement in t: the
-    # short maps E(t +- delta, t) act on the whole row of blocks at t
-    d = fd_delta
-    s2a = 0.0
-    s3a = 0.0
-    for i in range(N):
-        t = grid[i]
-        E0 = fs.row(i)
-        Ep = _transition(op, t, t + d, d) @ E0
-        Em = _transition(op, t, t - d, d) @ E0
-        A = np.asarray(op.a_of_t(t))
-        dd = (Ep + Em - 2.0 * E0) / d ** 2
-        res_s = dd[:, :m, m:] + A @ E0[:, :m, m:]
-        res_c = dd[:, :m, :m] + A @ E0[:, :m, :m]
-        if damped:
-            B = np.asarray(op.b_of_t(t))
-            res_s = res_s + B @ E0[:, m:, m:]
-            res_c = res_c + B @ E0[:, m:, :m]
-        s2a = max(s2a, worst(res_s))
-        s3a = max(s3a, worst(res_c))
-
-    # s-side identities: perturbed blocks E(t, s +- delta) are obtained by
-    # composing the stored global block with short transition maps
-    # E(s, s +- delta), the s-direction analogue of the refinement above;
-    # their global consistency is covered by the composition defect.  The
-    # maps are stacked per node s_j once, so row i is one batched matmul
-    # against the stack's first i + 1 entries.
-    phi_p = np.array([_transition(op, s + d, s, d) for s in grid])
-    phi_m = np.array([_transition(op, s - d, s, d) for s in grid])
-    phi_m2 = np.array([_transition(op, s - 2 * d, s, d) for s in grid])
     A = np.array([op.a_of_t(s) for s in grid])
     if damped:
         B = np.array([op.b_of_t(s) for s in grid])
         G = np.array([np.block([[np.zeros((m, m)), eye], [-a, -b]])
                       for a, b in zip(A, B)])
-    s2b = 0.0
-    s3b = 0.0 if not damped else None
+    # perturbed blocks E(t, s +- delta) compose the stored block with the
+    # short maps E(s, s +- delta); their global consistency is what the
+    # composition defect covers
+    phi_p, phi_m, phi_m2 = (np.array([_transition(op, s + e, s, d)
+                                      for s in grid]) for e in (d, -d, -2 * d))
+
+    lip_s = lip_c = comp = s4 = s2a = s3a = s2b = s3b = 0.0
     for i in range(N):
         E0 = fs.row(i)
+        # (S2)(a) and its C-block analogue: E(t_i +- delta, t_i) E0
+        t = grid[i]
+        Ep = _transition(op, t, t + d, d) @ E0
+        Em = _transition(op, t, t - d, d) @ E0
+        dd = (Ep + Em - 2.0 * E0) / d ** 2
+        res_s = dd[:, :m, m:] + A[i] @ E0[:, :m, m:]
+        res_c = dd[:, :m, :m] + A[i] @ E0[:, :m, :m]
+        if damped:
+            res_s = res_s + B[i] @ E0[:, m:, m:]
+            res_c = res_c + B[i] @ E0[:, m:, :m]
+        s2a = max(s2a, worst(res_s))
+        s3a = max(s3a, worst(res_c))
+
+        # empirical Lipschitz constants against row i - 1
+        if i:
+            diff = E0[:i] - fs.row(i - 1)
+            dt = grid[i] - grid[i - 1]
+            lip_s = max(lip_s, worst(diff[:, :m, m:]) / dt)
+            lip_c = max(lip_c, worst(diff[:, :m, :m]) / dt)
+
+        # composition through every middle node k; (S4),
+        # C(t,r)S(r,s) + S(t,r)dS(r,s) = S(t,s), is its upper-right quadrant
+        for k in range(i + 1):
+            defect = fs.E(i, k) @ fs.row(k) - E0[:k + 1]
+            comp = max(comp, worst(defect))
+            s4 = max(s4, worst(defect[:, :m, m:]))
+
+        # s-side: E0 E(s_j, s_j +- delta) for j <= i
         Ep = E0 @ phi_p[:i + 1]
         Em = E0 @ phi_m[:i + 1]
         if damped:
@@ -496,6 +481,10 @@ def load_fs(path):
         if head[:8] != _MAGIC or len(head) < off:
             raise ConfigurationError(f"{path} is not a fundamental-solution dump")
         kind_b, m, n, h = struct.unpack_from("<BIId", head, 8)
+        if kind_b > 1 or m < 1 or n < 2 or not (np.isfinite(h) and h > 0):
+            raise ConfigurationError(
+                f"{path} has a corrupt header (kind byte {kind_b}, m={m}, "
+                f"{n} nodes, h={h!r})")
         p = n * (n + 1) // 2
         expected = off + 8 * (n + p * 4 * m * m)
         size = os.fstat(fh.fileno()).st_size
@@ -504,6 +493,9 @@ def load_fs(path):
                 f"{path} holds {size} bytes; its header (m={m}, {n} nodes) "
                 f"needs exactly {expected}")
         grid = np.fromfile(fh, dtype="<f8", count=n)
+        if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
+            raise ConfigurationError(
+                f"{path} holds a grid that is not finite and increasing")
         blocks = np.fromfile(fh, dtype="<f8", count=p * 4 * m * m)
     blocks.flags.writeable = False
     return FundamentalSolution(grid, m, "damped" if kind_b else "undamped",

@@ -178,6 +178,13 @@ def realize(scenario, m=None, h=None, fs_step=None, span_tol=1e-8, seed=0):
     h = h or scenario.h
     fs_step = fs_step or scenario.fs_step
     T = scenario.horizon
+    for name, value in (("horizon", T), ("h", h), ("fs_step", fs_step)):
+        if not (np.isfinite(value) and value > 0):
+            raise ConfigurationError(
+                f"{name}={value!r} must be finite and positive")
+    if fs_step > T:
+        raise ConfigurationError(
+            f"fs_step={fs_step!r} exceeds the horizon {T!r}")
     if (scenario.kind == "damped") != (scenario.damping_coef is not None):
         raise ConfigurationError(
             f"scenario kind {scenario.kind!r} inconsistent with "

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import quadrature
 from .errors import ConfigurationError
-from .propagator import _Stepper
+from .propagator import _span
 from .spectral import Trajectory
 
 
@@ -99,8 +99,14 @@ def representation(fs, op, x0, y0, F, start=0, stop=None, u=None, v=None):
 
     Each node costs a few (2m x 2m) mat-vecs, and only the blocks
     E(t_i, t_j) with i - j <= 3 are read.  A forced window must be uniform.
-    Rows of ``u`` and ``v`` outside start..stop are left untouched.
+    Rows of ``u`` and ``v`` outside start..stop are left untouched.  The
+    table must be of ``op``'s kind, since the startup rule reads B(t) from
+    the operator.
     """
+    if op.kind != fs.kind:
+        raise ConfigurationError(
+            f"a {op.kind} operator needs a {op.kind} family, "
+            f"got a {fs.kind} one")
     m = fs.m
     grid = fs.time_grid
     a = start
@@ -143,14 +149,8 @@ def representation(fs, op, x0, y0, F, start=0, stop=None, u=None, v=None):
 
 
 def solve(p, fs, grid):
-    """Representation-formula solve on ``grid`` (each node an fs node).
-
-    The table must be of ``p.op``'s kind, since the startup rule reads B(t)
-    from the operator."""
-    if p.op.kind != fs.kind:
-        raise ConfigurationError(
-            f"a {p.op.kind} operator needs a {p.op.kind} family, "
-            f"got a {fs.kind} one")
+    """Representation-formula solve on ``grid`` (each node an fs node) by
+    :func:`representation`, which checks the table's kind."""
     grid, idx = _grid_indices(fs, grid)
     F = None
     if p.forcing is not None:
@@ -162,8 +162,11 @@ def solve(p, fs, grid):
 def direct_integrate(p, h, grid=None):
     """Integrate the full inhomogeneous block system; the oracle path.
 
-    ``grid`` defaults to a uniform grid of step ~h over the horizon.  The
-    integrator substeps between output nodes with steps of size <= h.
+    ``grid`` defaults to a uniform grid of step ~h over the horizon.  Each
+    output interval is one :func:`propagator._span` call, the same RK4
+    substep loop (steps of size <= h) that builds the interval maps of the
+    tables, but applied to the forced state directly: no table is read, so
+    the oracle stays independent of the representation formula.
     """
     if h <= 0:
         raise ConfigurationError("step h must be positive")
@@ -176,24 +179,14 @@ def direct_integrate(p, h, grid=None):
     forcing = None
     if p.forcing is not None:
         forcing = lambda t: np.asarray(p.forcing(t))
-    stepper = _Stepper(p.op, forcing)
     state = np.concatenate([p.u0, p.u1])
     if forcing is not None:
         state = state.astype(np.result_type(state.dtype, forcing(0.0).dtype))
     u = np.empty((grid.size, m), dtype=state.dtype)
     v = np.empty((grid.size, m), dtype=state.dtype)
     u[0], v[0] = p.u0, p.u1
-    from .errors import PropagationError
     for i in range(1, grid.size):
-        t0, t1 = grid[i - 1], grid[i]
-        n = max(1, int(np.ceil((t1 - t0) / h - 1e-12)))
-        dt = (t1 - t0) / n
-        for k in range(n):
-            state = stepper.step(t0 + k * dt, dt, state)
-            if not np.all(np.isfinite(state)):
-                raise PropagationError(
-                    f"direct integration diverged at step {k} after t={t0:.6g}",
-                    time=t0 + (k + 1) * dt, step_index=k)
+        state = _span(p.op, grid[i - 1], grid[i], state, h, forcing=forcing)
         u[i], v[i] = state[:m], state[m:]
     return Trajectory(grid, u, v)
 

@@ -186,6 +186,35 @@ def test_overrides_validated(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("flags, file_fields", [
+    pytest.param({"m": "abc"}, {}, id="m-abc"),
+    pytest.param({"m": "2.5"}, {}, id="m-fraction"),
+    pytest.param({"h": float("nan")}, {}, id="h-nan"),
+    pytest.param({"h": float("inf")}, {}, id="h-inf"),
+    pytest.param({"seed": -1}, {}, id="seed-negative"),
+    pytest.param({"tol": float("nan")}, {}, id="tol-nan"),
+    pytest.param({"tol": float("inf")}, {}, id="tol-inf"),
+    pytest.param({}, {"horizon": float("nan")}, id="file-horizon-nan"),
+    pytest.param({}, {"h": float("nan")}, id="file-h-nan"),
+    pytest.param({}, {"fs_step": 0.0}, id="file-fs_step-zero"),
+    pytest.param({}, {"fs_step": -0.1}, id="file-fs_step-negative"),
+    pytest.param({}, {"fs_step": 2.0}, id="file-fs_step-above-horizon"),
+    pytest.param({}, {"m": 100000}, id="file-m-oversize"),
+])
+def test_bad_numbers_exit_1(tmp_path, monkeypatch, flags, file_fields):
+    # every case is rejected before a basis is built, so the oversize m
+    # never allocates
+    def unreachable(*args, **kwargs):
+        raise AssertionError("build_basis reached")
+    monkeypatch.setattr(nlw.scenarios, "build_basis", unreachable)
+    cfg_file = tmp_path / "run.cfg"
+    nlw.save_scenario(dataclasses.replace(nlw.scenario_undamped_neumann(),
+                                          **{"m": 4, **file_fields}), cfg_file)
+    rc, _, manifest = run(tmp_path, "bad", command="solve",
+                          config=str(cfg_file), **flags)
+    assert rc == 1 and manifest["exit_code"] == 1 and "error" in manifest
+
+
 def test_config_file_drives_solve(tmp_path):
     cfg_file = tmp_path / "toy.cfg"
     import dataclasses

@@ -252,6 +252,36 @@ def test_contraction_divergence_reports_history(harmonic_setup):
     assert rep.update_norms[-1] > rep.update_norms[2]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nonfinite_divergence_report_carries_data_bounds(harmonic_setup):
+    # g(w) = 1e200 * mean(w) + 1 overflows on the third iteration; the
+    # attached report keeps the running bound of |g(w)|, at least |g(0)| = 1
+    basis, op, fs, T = harmonic_setup
+    prob = make_problem(basis, op, T, 1e200, "1")
+    with pytest.raises(NonconvergenceError, match="non-finite") as exc:
+        nlw.contraction_solve(prob, fs)
+    rep = exc.value.report
+    assert rep.r1 >= 1.0 and rep.r2 == 0.0
+
+
+@pytest.mark.parametrize("engine", [nlw.contraction_solve, nlw.relaxed_solve])
+def test_engines_reject_table_of_other_kind(scalar_basis, engine):
+    # with an undamped operator on a damped table (A = 1, B = 0.5) and
+    # f = 0.2 u, both engines used to report convergence with an equation
+    # residual of 0.24, against 1.6e-5 for the matching operator
+    T = 1.0
+    grid = np.linspace(0.0, T, 41)
+    undamped = nlw.undamped_operator(lambda t: np.array([[1.0]]), 1)
+    damped = nlw.damped_operator(lambda t: np.array([[1.0]]),
+                                 lambda t: np.array([[0.5]]), 1)
+    for op, table_op in ((undamped, damped), (damped, undamped)):
+        fs = nlw.fundamental_solution(table_op, grid, h=1e-3)
+        prob = make_problem(scalar_basis, op, T, 0.3, "1",
+                            nl=nlw.linear_nonlinearity(0.2))
+        with pytest.raises(ConfigurationError, match="family"):
+            engine(prob, fs)
+
+
 def test_relaxed_constant_g_two_iterations(harmonic_setup):
     basis, op, fs, T = harmonic_setup
     prob = make_problem(basis, op, T, 0.0, "1")

@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import nonlocalwave as nlw
@@ -247,16 +251,70 @@ def test_dump_load_round_trip(tmp_path, diag_fs):
     assert path.read_bytes() == path2.read_bytes()
 
 
+HEADER_BYTES = 8 + struct.calcsize("<BIId")
+
+
+def fs_header(kind, m, n, h):
+    """Magic plus header fields of a dump_fs file."""
+    return b"NLWFS001" + struct.pack("<BIId", kind, m, n, h)
+
+
 def test_load_rejects_foreign_file(tmp_path, diag_fs):
     good = tmp_path / "fs.bin"
     nlw.dump_fs(diag_fs, good)
     raw = good.read_bytes()
     p = tmp_path / "junk.bin"
-    # foreign bytes, truncated header, truncated blocks, trailing bytes
-    for junk in (b"not a dump", raw[:12], raw[:-8], raw + b"\0"):
+    fields = dict(kind=0, m=diag_fs.m, n=diag_fs.n_nodes, h=diag_fs.h)
+    bad_grid = bytearray(raw)
+    struct.pack_into("<d", bad_grid, HEADER_BYTES, 5.0)   # grid[0] = 5
+    # foreign bytes, truncated header, truncated blocks, trailing bytes;
+    # a kind byte outside {0, 1}, h = nan and h < 0, a grid that does not
+    # increase; and exact-size files whose header holds m = 0 or n < 2
+    for junk in (b"not a dump", raw[:12], raw[:-8], raw + b"\0",
+                 fs_header(**{**fields, "kind": 7}) + raw[HEADER_BYTES:],
+                 fs_header(**{**fields, "h": np.nan}) + raw[HEADER_BYTES:],
+                 fs_header(**{**fields, "h": -1.0}) + raw[HEADER_BYTES:],
+                 bytes(bad_grid), fs_header(0, 0, 0, 1e-3),
+                 fs_header(0, 4, 0, 1e-3),
+                 fs_header(0, 4, 1, 1e-3) + bytes(8 * (1 + 64))):
         p.write_bytes(junk)
         with pytest.raises(ConfigurationError):
             nlw.load_fs(p)
+
+
+def increasing(n):
+    return st.lists(st.floats(1e-3, 1.0), min_size=n,
+                    max_size=n).map(np.cumsum)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.integers(0, 255), m=st.integers(0, 3), n=st.integers(0, 5),
+       h=st.one_of(st.floats(), st.sampled_from([1e-3, np.nan, np.inf, -1.0])),
+       slack=st.sampled_from([0, 0, 0, -8, 8]), data=st.data())
+def test_load_fs_validates_every_header(tmp_path_factory, kind, m, n, h,
+                                        slack, data):
+    # a dump with random header fields either loads as a table with sound
+    # invariants or fails with ConfigurationError, never another exception
+    grid = np.asarray(data.draw(st.one_of(
+        increasing(n), st.lists(st.floats(), min_size=n, max_size=n))),
+        dtype=float)
+    pairs = n * (n + 1) // 2
+    body = grid.astype("<f8").tobytes() + bytes(8 * pairs * 4 * m * m)
+    path = tmp_path_factory.mktemp("fuzz") / "fs.bin"
+    path.write_bytes(fs_header(kind, m, n, h)
+                     + (body + bytes(max(slack, 0)))[:len(body) + slack])
+    sound = (kind <= 1 and m >= 1 and n >= 2 and np.isfinite(h) and h > 0
+             and slack == 0 and np.all(np.isfinite(grid))
+             and np.all(np.diff(grid) > 0))
+    if not sound:
+        with pytest.raises(ConfigurationError):
+            nlw.load_fs(path)
+        return
+    fs = nlw.load_fs(path)
+    assert fs.kind == ("damped" if kind else "undamped")
+    assert (fs.m, fs.n_nodes, fs.h) == (m, n, h)
+    np.testing.assert_array_equal(fs.time_grid, grid)
+    assert fs.blocks.shape == (pairs, 2 * m, 2 * m)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
