@@ -3,8 +3,8 @@
 Every run writes a manifest with the resolved parameters and the constants
 behind each number, then per-command artifacts (JSON reports, CSV tables,
 optional binary dump of the fundamental-solution tables).  Exit status:
-0 success, 1 configuration error, 2 certification or axiom failure,
-3 fixed-point nonconvergence.
+0 success, 1 configuration error (or a table that overflows), 2
+certification or axiom failure, 3 fixed-point nonconvergence.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import fixedpoint, forms, propagator, scenarios
 from .errors import (CertificationError, ConfigurationError,
-                     NonconvergenceError)
+                     NonconvergenceError, PropagationError)
 
 AXIOM_THRESHOLDS = {
     "s1_defect": 1e-12,
@@ -267,7 +267,7 @@ def run(cfg):
         else:
             raise ConfigurationError(f"unknown command {cfg.command!r}")
 
-    except ConfigurationError as exc:
+    except (ConfigurationError, PropagationError) as exc:
         manifest["error"] = str(exc)
         manifest["exit_code"] = 1
         _write_json(manifest_path, manifest)

@@ -566,7 +566,7 @@ def galerkin_refine(solve_level, m_list, probe_count=5, rng=None):
     ``solve_level(m)`` must return a :class:`RefinementLevel` on a grid
     shared by all levels.  Reports L2(0,T;H) trajectory differences and the
     largest fundamental-solution action difference
-    |S_m(t,s) P_m y - S_M(t,s) y| over stored pairs and random probes y.
+    |S_m(t,s) P_m y - S_M(t,s) y| over all grid pairs and random probes y.
     A level that fails to converge is marked and the sweep continues.
     """
     m_list = list(m_list)
@@ -597,15 +597,15 @@ def galerkin_refine(solve_level, m_list, probe_count=5, rng=None):
         diff_u = finest.trajectory.u.copy()
         diff_u[:, :lev.m] -= lev.trajectory.u
         traj_diff = quadrature.l2_time_norm(diff_u, finest.trajectory.grid)
-        # every stored pair at once: S blocks (pairs, m, m) times a probe
-        pairs = len(lev.fs.blocks)
-        small_s = lev.fs.blocks[:, :lev.m, lev.m:]
-        big_s = finest.fs.blocks[:pairs, :M, M:]
+        # a row of pairs at a time: S blocks (i + 1, m, m) times a probe
         act = 0.0
-        for y in ys:
-            big = big_s @ y
-            big[:, :lev.m] -= small_s @ y[:lev.m]
-            act = max(act, float(np.linalg.norm(big, axis=1).max()))
+        for i in range(lev.fs.n_nodes):
+            small_s = lev.fs.row(i)[:, :lev.m, lev.m:]
+            big_s = finest.fs.row(i)[:, :M, M:]
+            for y in ys:
+                big = big_s @ y
+                big[:, :lev.m] -= small_s @ y[:lev.m]
+                act = max(act, float(np.linalg.norm(big, axis=1).max()))
         rows.append(RefinementRow(
             lev.m, True, float(traj_diff), act,
             None if lev.report is None else lev.report.residual_equation))

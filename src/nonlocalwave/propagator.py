@@ -10,7 +10,7 @@ tabulated on a time grid; its quadrants are C(t,s), S(t,s), dC(t,s), dS(t,s)
 for the undamped family and v1..v4 for the damped one, read through the
 same C/S/dC/dS accessors.  The integrator is
 linear in the state, so each grid interval has one transition map Phi_j,
-obtained by integrating an identity block across it, and every stored block
+obtained by integrating an identity block across it, and every block
 is a product of these maps, E(t_i, s_j) = Phi_i ... Phi_{j+1}.  The
 composition identity E(t,s) = E(t,r)E(r,s) thus holds by construction up to
 matmul rounding, and the axiom checks measure genuine integrator defects.
@@ -22,6 +22,7 @@ against the spectral radius of A before each run.
 
 from __future__ import annotations
 
+import itertools
 import os
 import struct
 from dataclasses import dataclass
@@ -33,6 +34,7 @@ from .errors import ConfigurationError, PropagationError
 STABILITY_LIMIT = 2.5  # |omega * h| budget for the classical 4th-order method
 FREQUENCY_SAMPLES = 5  # times at which spectral_frequency measures ||A(t)||
 NODE_TOL = 1e-10       # how far a time may lie from the grid node it names
+LOAD_TOL = 1e-12       # relative distance of a loaded row from its products
 
 _MAGIC = b"NLWFS001"
 
@@ -154,23 +156,46 @@ def propagate(op, s, t, U0, forcing=None, h=1e-3):
     return _span(op, s, t, U0, h, forcing=forcing)
 
 
+def _next_row(phi, prev):
+    """Row j of a table from Phi_j and row j - 1: E(t_j, s_i) = Phi_j
+    E(t_{j-1}, s_i) for i < j - 1, then Phi_j and the identity."""
+    j = len(prev)
+    row = np.empty((j + 1,) + phi.shape)
+    np.matmul(phi, prev[:j - 1], out=row[:j - 1])
+    row[j - 1] = phi
+    row[j] = np.eye(len(phi))
+    row.flags.writeable = False
+    return row
+
+
 class FundamentalSolution:
-    """Tabulated blocks E(t_i, s_j) for grid pairs with s_j <= t_i.
+    """Blocks E(t_i, s_j) for grid pairs with s_j <= t_i.
 
     For undamped operators the quadrants of E are (C, S; dC, dS); for damped
     ones they are (v1, v2; v3, v4).  Both are read through the C/S/dC/dS
     accessors, since they enter the representation formulas identically.
-    The block bounds are computed on first use and kept, which is sound
-    because the tables made by :func:`fundamental_solution` and
-    :func:`load_fs` are read-only.
+
+    The table stores the interval maps and the two bands the Duhamel
+    recurrence reads, O(N m^2) numbers: ``blocks[i, d]`` is
+    E(t_i, t_{i-1-d}) for d = 0, 1, 2, so ``blocks[i, 0]`` is Phi_i; the
+    slots with i - 1 - d < 0 hold zeros.  Every other block is made on
+    demand by the products that filled the table: row i is Phi_i times
+    row i - 1, followed by Phi_i and the identity.  The last row made is
+    kept, so rows in ascending order cost one batched product each.  The
+    block bounds are computed on first use and kept, which is sound because
+    the tables made by :func:`fundamental_solution` and :func:`load_fs` are
+    read-only.
     """
 
     def __init__(self, time_grid, m, kind, blocks, h):
         self.time_grid = np.asarray(time_grid, dtype=float)
         self.m = m
         self.kind = kind
-        self.blocks = blocks      # (P, 2m, 2m), pair (i, j) at i*(i+1)/2 + j
+        self.blocks = blocks      # (N, 3, 2m, 2m), E(t_i, t_{i-1-d}) at [i, d]
         self.h = h
+        self._eye = np.eye(2 * m)
+        self._eye.flags.writeable = False
+        self._last = (0, self._eye[None])
         self._duhamel = None
         self._first_column = None
 
@@ -178,14 +203,15 @@ class FundamentalSolution:
     def n_nodes(self):
         return self.time_grid.size
 
-    @staticmethod
-    def _index(i, j):
-        return i * (i + 1) // 2 + j
-
     def E(self, i, j):
-        if j > i:
-            raise ConfigurationError("blocks are stored only for s <= t")
-        return self.blocks[self._index(i, j)]
+        if not 0 <= j <= i < self.n_nodes:
+            raise ConfigurationError(
+                f"no block ({i}, {j}): need 0 <= j <= i < {self.n_nodes}")
+        if i == j:
+            return self._eye
+        if i - j <= 3:
+            return self.blocks[i, i - 1 - j]
+        return self.row(i)[j]
 
     def C(self, i, j):
         return self.E(i, j)[: self.m, : self.m]
@@ -206,28 +232,36 @@ class FundamentalSolution:
         return i
 
     def row(self, i):
-        """Contiguous view of all blocks E(t_i, s_j), j = 0..i."""
-        start = self._index(i, 0)
-        return self.blocks[start:start + i + 1]
+        """All blocks E(t_i, s_j), j = 0..i, as a read-only array of its own."""
+        k, row = self._last
+        if k > i:
+            k, row = 0, self._eye[None]
+        for j in range(k + 1, i + 1):
+            row = _next_row(self.blocks[j, 0], row)
+        self._last = (i, row)
+        return row
 
     def sup_norms(self):
-        """Largest 2-norms of the four quadrants over all stored pairs."""
+        """Largest 2-norms of the four quadrants over all pairs."""
         m = self.m
         lo, hi = slice(None, m), slice(m, None)
         quadrants = {"C": (lo, lo), "S": (lo, hi), "dC": (hi, lo), "dS": (hi, hi)}
-        return {k: float(np.linalg.norm(self.blocks[:, r, c], 2, axis=(1, 2)).max())
-                for k, (r, c) in quadrants.items()}
+        sup = dict.fromkeys(quadrants, 0.0)
+        for i in range(self.n_nodes):
+            row = self.row(i)
+            for k, (r, c) in quadrants.items():
+                sup[k] = max(sup[k], float(
+                    np.linalg.norm(row[:, r, c], 2, axis=(1, 2)).max()))
+        return sup
 
     def duhamel_bound(self):
         """max over t of int_0^t ||S(t,s)|| ds (the constant M_{2,T})."""
         if self._duhamel is None:
             from . import quadrature
-            norms = np.linalg.norm(self.blocks[:, : self.m, self.m:], 2,
-                                   axis=(1, 2))
             best = 0.0
             for i in range(1, self.n_nodes):
-                start = self._index(i, 0)
-                vals = norms[start:start + i + 1]
+                vals = np.linalg.norm(self.row(i)[:, : self.m, self.m:], 2,
+                                      axis=(1, 2))
                 best = max(best, float(quadrature.integrate(
                     vals, self.time_grid[: i + 1])))
             self._duhamel = best
@@ -237,11 +271,20 @@ class FundamentalSolution:
         """(M1, M2): the largest 2-norms of C(t_i, 0) and S(t_i, 0)."""
         if self._first_column is None:
             m = self.m
-            first = self.blocks[self._index(np.arange(self.n_nodes), 0)]
+            first = [self._eye, self.blocks[1, 0]]
+            for i in range(2, self.n_nodes):
+                first.append(self.blocks[i, 0] @ first[-1])
+            first = np.array(first)
             self._first_column = tuple(
                 float(np.linalg.norm(first[:, : m, c], 2, axis=(1, 2)).max())
                 for c in (slice(None, m), slice(m, None)))
         return self._first_column
+
+
+def _bands(row):
+    """The band blocks E(t_i, t_{i-1-d}), d = 0, 1, 2, of row i."""
+    i = len(row) - 1
+    return row[max(i - 3, 0):i][::-1]
 
 
 def fundamental_solution(op, grid, h=1e-3, validate=True):
@@ -250,9 +293,10 @@ def fundamental_solution(op, grid, h=1e-3, validate=True):
     Interval j is integrated once, on a 2m x 2m identity, giving its RK4
     transition map Phi_j; row j of the table is then
     E(t_j, s_i) = Phi_j E(t_{j-1}, s_i) for i < j, with the exact identity
-    on the diagonal.  Every stored pair is a product of the same interval
-    maps, so the composition identity E(t,s) = E(t,r)E(r,s) holds by
-    construction up to matmul rounding.
+    on the diagonal.  Every pair is a product of the same interval maps, so
+    the composition identity E(t,s) = E(t,r)E(r,s) holds by construction up
+    to matmul rounding.  Each row is made once here, to check that the
+    products stay finite, and only its bands are kept.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
@@ -261,9 +305,8 @@ def fundamental_solution(op, grid, h=1e-3, validate=True):
         validate_step(op, float(grid[-1]), h)
     n2 = 2 * op.dim
     N = grid.size
-    blocks = np.empty((N * (N + 1) // 2, n2, n2))
-    blocks[0] = np.eye(n2)
-    fs = FundamentalSolution(grid, op.dim, op.kind, blocks, h)
+    blocks = np.zeros((N, 3, n2, n2))
+    row = np.eye(n2)[None]
     for j in range(1, N):
         where = (f"fundamental solution failed between nodes {j - 1} and {j} "
                  f"(t in [{grid[j - 1]:.6g}, {grid[j]:.6g}])")
@@ -271,16 +314,15 @@ def fundamental_solution(op, grid, h=1e-3, validate=True):
             phi = _transition(op, grid[j - 1], grid[j], h)
         except PropagationError as exc:
             raise PropagationError(f"{where}: {exc}", time=exc.time) from exc
-        row = fs.row(j)
-        np.matmul(phi, fs.row(j - 1)[:j - 1], out=row[:j - 1])
+        row = _next_row(phi, row)
         if not np.all(np.isfinite(row[:j - 1])):
             raise PropagationError(
                 f"{where}: non-finite blocks reached at t={grid[j]:.6g}",
                 time=float(grid[j]))
-        row[j - 1] = phi
-        row[j] = np.eye(n2)
+        band = _bands(row)
+        blocks[j, :len(band)] = band
     blocks.flags.writeable = False
-    return fs
+    return FundamentalSolution(grid, op.dim, op.kind, blocks, h)
 
 
 def _transition(op, t_from, t_to, h):
@@ -326,7 +368,7 @@ class AxiomReport:
 def check_axioms(fs, op, fd_delta=5e-5):
     """Measure the fundamental-solution axiom defects of a tabulated family.
 
-    One pass over the rows i of the table checks every stored pair
+    One pass over the rows i of the table checks every grid pair
     (i, j), j <= i, of the row at once: (S2)(a) and its C-block analogue
     by +-delta refinement in t, through the short maps E(t_i +- delta, t_i)
     built for the row; the empirical Lipschitz constants against row i - 1;
@@ -334,7 +376,9 @@ def check_axioms(fs, op, fd_delta=5e-5):
     quadrant (S4) for every middle node k; and the s-side identities
     through the maps E(s_j, s_j +- delta), built once per node.  A(t) (and
     B(t) for damped families) is assembled once per node and shared by
-    both sides.
+    both sides.  Composition reads every row at every row, so the rows are
+    made in one ascending pass and held: O(N^2 m^2) memory, meant for the
+    coarse audit grid (11 nodes in the CLI).
     """
     if fs.n_nodes < 4:
         raise ConfigurationError("axiom check needs a grid with >= 4 nodes")
@@ -348,7 +392,8 @@ def check_axioms(fs, op, fd_delta=5e-5):
     def worst(stack):
         return float(np.linalg.norm(stack, 2, axis=(1, 2)).max())
 
-    diag = fs.blocks[fs._index(np.arange(N), np.arange(N))]
+    rows = [fs.row(i) for i in range(N)]
+    diag = np.array([row[-1] for row in rows])
     s1 = max(worst(diag[:, :m, m:]), worst(diag[:, :m, :m] - eye),
              worst(diag[:, m:, m:] - eye), worst(diag[:, m:, :m]))
 
@@ -359,7 +404,7 @@ def check_axioms(fs, op, fd_delta=5e-5):
         B = np.array([op.b_of_t(s) for s in grid])
         G = np.array([np.block([[np.zeros((m, m)), eye], [-a, -b]])
                       for a, b in zip(A, B)])
-    # perturbed blocks E(t, s +- delta) compose the stored block with the
+    # perturbed blocks E(t, s +- delta) compose the table's block with the
     # short maps E(s, s +- delta); their global consistency is what the
     # composition defect covers
     phi_p, phi_m, phi_m2 = (np.array([_transition(op, s + e, s, d)
@@ -367,7 +412,7 @@ def check_axioms(fs, op, fd_delta=5e-5):
 
     lip_s = lip_c = comp = s4 = s2a = s3a = s2b = s3b = 0.0
     for i in range(N):
-        E0 = fs.row(i)
+        E0 = rows[i]
         # (S2)(a) and its C-block analogue: E(t_i +- delta, t_i) E0
         t = grid[i]
         Ep = _transition(op, t, t + d, d) @ E0
@@ -383,7 +428,7 @@ def check_axioms(fs, op, fd_delta=5e-5):
 
         # empirical Lipschitz constants against row i - 1
         if i:
-            diff = E0[:i] - fs.row(i - 1)
+            diff = E0[:i] - rows[i - 1]
             dt = grid[i] - grid[i - 1]
             lip_s = max(lip_s, worst(diff[:, :m, m:]) / dt)
             lip_c = max(lip_c, worst(diff[:, :m, :m]) / dt)
@@ -391,7 +436,7 @@ def check_axioms(fs, op, fd_delta=5e-5):
         # composition through every middle node k; (S4),
         # C(t,r)S(r,s) + S(t,r)dS(r,s) = S(t,s), is its upper-right quadrant
         for k in range(i + 1):
-            defect = fs.E(i, k) @ fs.row(k) - E0[:k + 1]
+            defect = E0[k] @ rows[k] - E0[:k + 1]
             comp = max(comp, worst(defect))
             s4 = max(s4, worst(defect[:, :m, m:]))
 
@@ -424,7 +469,7 @@ def check_axioms(fs, op, fd_delta=5e-5):
 
 
 def adjoint_defect(fs, fs_reversed):
-    """max over stored pairs of ||S(t,s)^H - S_r(T-s, T-t)||.
+    """max over grid pairs of ||S(t,s)^H - S_r(T-s, T-t)||.
 
     ``fs_reversed`` must be built for the returned-adjoint operator on the
     same uniform grid.
@@ -440,12 +485,13 @@ def adjoint_defect(fs, fs_reversed):
         raise ConfigurationError("adjoint check needs a reflection-symmetric grid")
     N = grid.size
     m = fs.m
+    rows_r = [fs_reversed.row(k) for k in range(N)]
     defect = 0.0
     for i in range(N):
         # row i against column N-1-i of the reversed table, all j <= i at once
-        j = np.arange(i + 1)
         lhs = fs.row(i)[:, :m, m:].conj().transpose(0, 2, 1)
-        rhs = fs_reversed.blocks[fs._index(N - 1 - j, N - 1 - i), :m, m:]
+        rhs = np.array([rows_r[N - 1 - j][N - 1 - i, :m, m:]
+                        for j in range(i + 1)])
         defect = max(defect, float(np.linalg.norm(lhs - rhs, 2,
                                                   axis=(1, 2)).max()))
     return defect
@@ -464,17 +510,26 @@ def dump_fs(fs, path):
     """Write the tabulated family to a little-endian binary file.
 
     Layout: magic, kind byte, m, node count, substep (f64), the grid, then
-    the blocks row-major for pairs (i, j), j <= i, i ascending.
+    the blocks row-major for pairs (i, j), j <= i, i ascending; the rows are
+    made and written one at a time.
     """
     header = _MAGIC + struct.pack(
         "<BIId", 1 if fs.kind == "damped" else 0, fs.m, fs.n_nodes, fs.h)
+    rows = map(fs.row, range(fs.n_nodes))
     with open(path, "wb") as fh:
         fh.write(header)
-        for arr in (fs.time_grid, fs.blocks):
+        for arr in itertools.chain([fs.time_grid], rows):
             fh.write(memoryview(np.ascontiguousarray(arr, dtype="<f8")).cast("B"))
 
 
 def load_fs(path):
+    """Read a :func:`dump_fs` file, one row at a time.
+
+    The table keeps the file's interval maps and bands.  Every row of the
+    file, the diagonal included, must equal the table's own product of its
+    interval maps to within ``LOAD_TOL`` times the row's largest entry;
+    otherwise the file is rejected with :class:`ConfigurationError`.
+    """
     off = len(_MAGIC) + struct.calcsize("<BIId")
     with open(path, "rb") as fh:
         head = fh.read(off)
@@ -485,8 +540,7 @@ def load_fs(path):
             raise ConfigurationError(
                 f"{path} has a corrupt header (kind byte {kind_b}, m={m}, "
                 f"{n} nodes, h={h!r})")
-        p = n * (n + 1) // 2
-        expected = off + 8 * (n + p * 4 * m * m)
+        expected = off + 8 * (n + n * (n + 1) // 2 * 4 * m * m)
         size = os.fstat(fh.fileno()).st_size
         if size != expected:
             raise ConfigurationError(
@@ -496,7 +550,20 @@ def load_fs(path):
         if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
             raise ConfigurationError(
                 f"{path} holds a grid that is not finite and increasing")
-        blocks = np.fromfile(fh, dtype="<f8", count=p * 4 * m * m)
+        blocks = np.zeros((n, 3, 2 * m, 2 * m))
+        own = np.eye(2 * m)[None]
+        for i in range(n):
+            row = np.fromfile(fh, dtype="<f8", count=(i + 1) * 4 * m * m)
+            row = row.reshape(i + 1, 2 * m, 2 * m)
+            if i:
+                own = _next_row(row[i - 1], own)
+            with np.errstate(invalid="ignore", over="ignore"):
+                sound = np.abs(row - own).max() <= LOAD_TOL * np.abs(row).max()
+            if not sound:
+                raise ConfigurationError(
+                    f"{path}: row {i} is not the product of its interval maps")
+            band = _bands(row)
+            blocks[i, :len(band)] = band
     blocks.flags.writeable = False
     return FundamentalSolution(grid, m, "damped" if kind_b else "undamped",
-                               blocks.reshape(p, 2 * m, 2 * m), h)
+                               blocks, h)

@@ -174,10 +174,12 @@ def realize(scenario, m=None, h=None, fs_step=None, span_tol=1e-8, seed=0):
     in the basis span to that tolerance the configuration is rejected with
     the projection defect (pass None to skip, e.g. for refinement studies).
     """
-    m = m or scenario.m
-    h = h or scenario.h
-    fs_step = fs_step or scenario.fs_step
+    m = scenario.m if m is None else m
+    h = scenario.h if h is None else h
+    fs_step = scenario.fs_step if fs_step is None else fs_step
     T = scenario.horizon
+    if m < 1:
+        raise ConfigurationError(f"m={m!r} must be at least 1")
     for name, value in (("horizon", T), ("h", h), ("fs_step", fs_step)):
         if not (np.isfinite(value) and value > 0):
             raise ConfigurationError(

@@ -175,6 +175,11 @@ def direct_integrate(p, h, grid=None):
         grid = np.linspace(0.0, p.horizon, n + 1)
     else:
         grid = np.asarray(grid, dtype=float)
+        if grid.ndim != 1 or not (grid.size and np.all(np.isfinite(grid))
+                                  and np.all(np.diff(grid) > 0)):
+            raise ConfigurationError(
+                "output grid must be one-dimensional, non-empty, finite and "
+                "strictly increasing")
     m = p.op.dim
     forcing = None
     if p.forcing is not None:

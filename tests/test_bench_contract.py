@@ -1,12 +1,15 @@
 """The per-layer metrics of BENCHMARK.json name library functions that
-``bench/spans.py`` wraps.  A refactor that deletes or renames one of them
-would leave its metric silently empty; this test fails instead."""
+``bench/spans.py`` wraps, and read attributes of their results.  A refactor
+that deletes or renames one of them would leave its metric silently empty
+or end a traced run with an AttributeError; these tests fail instead."""
 
 import json
 import sys
 from pathlib import Path
 
 import pytest
+
+import nonlocalwave as nlw
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "bench"))
@@ -39,3 +42,12 @@ def test_benchmark_metric_names_a_traced_function(name):
     wanted = spans.SOLVERS if name == "fixedpoint.solve" else (name,)
     traced = set(spans.Tracer.targets().values())
     assert [w for w in wanted if w not in traced] == []
+
+
+def test_tracer_notes_read_real_results():
+    rz = nlw.realize(nlw.scenario_undamped_neumann(), m=2, fs_step=0.25)
+    tracer = spans.Tracer()
+    notes = tracer._notes("propagator.fundamental_solution", (), rz.fs, None)
+    assert notes == {"table_bytes": rz.fs.blocks.nbytes}
+    notes = tracer._notes("scenarios.realize", (), rz, None)
+    assert notes == {"scenario": "undamped_neumann", "m": 2, "nodes": 5}

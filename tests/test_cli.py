@@ -215,6 +215,21 @@ def test_bad_numbers_exit_1(tmp_path, monkeypatch, flags, file_fields):
     assert rc == 1 and manifest["exit_code"] == 1 and "error" in manifest
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["solve", "axioms"])
+def test_table_overflow_exits_1(tmp_path, command):
+    # u'' = 1e4 (-Delta) u: the interval maps stay finite, their products
+    # overflow part-way through the table
+    cfg_file = tmp_path / "blowup.cfg"
+    nlw.save_scenario(dataclasses.replace(nlw.scenario_undamped_neumann(),
+                                          gradient_coef="-1e4", m=16),
+                      cfg_file)
+    rc, _, manifest = run(tmp_path, "blowup", command=command,
+                          config=str(cfg_file))
+    assert rc == 1 and manifest["exit_code"] == 1
+    assert "between nodes" in manifest["error"]
+
+
 def test_config_file_drives_solve(tmp_path):
     cfg_file = tmp_path / "toy.cfg"
     import dataclasses

@@ -131,6 +131,56 @@ def test_composed_table_matches_per_start_propagation(rng, damped):
     assert worst < 1e-12
 
 
+def dense_rows(fs):
+    """Every row of the table as the pair-storing fill wrote it: one
+    (P, 2m, 2m) array, row j filled with Phi_j times row j - 1."""
+    n2, N = 2 * fs.m, fs.n_nodes
+    start = [i * (i + 1) // 2 for i in range(N)]
+    blocks = np.empty((start[-1] + N, n2, n2))
+    blocks[0] = np.eye(n2)
+    for j in range(1, N):
+        phi = fs.E(j, j - 1)
+        row = blocks[start[j]:start[j] + j + 1]
+        np.matmul(phi, blocks[start[j - 1]:start[j - 1] + j - 1],
+                  out=row[:j - 1])
+        row[j - 1] = phi
+        row[j] = np.eye(n2)
+    return blocks, [blocks[s:s + i + 1] for i, s in enumerate(start)]
+
+
+@pytest.mark.parametrize("m", [1, 4])
+@pytest.mark.parametrize("damped", [False, True])
+def test_rows_and_bounds_match_dense_table(rng, damped, m):
+    op = _random_operator(rng, m, damped)
+    fs = nlw.fundamental_solution(op, np.linspace(0.0, 1.2, 10), h=1e-2)
+    N, n2 = fs.n_nodes, 2 * m
+    blocks, ref = dense_rows(fs)
+    assert fs.blocks.shape == (N, 3, n2, n2)
+    assert fs.blocks.nbytes == 3 * N * n2 ** 2 * 8
+    rows = [fs.row(i) for i in range(N)]
+    for i in list(range(N)) + list(rng.permutation(N)):
+        np.testing.assert_array_equal(fs.row(i), ref[i])
+        for j in range(i + 1):
+            np.testing.assert_array_equal(fs.E(i, j), ref[i][j])
+    # every row is a new read-only array
+    assert len({id(r) for r in rows}) == N
+    assert not any(r.flags.writeable for r in rows)
+    for i, j in ((2, 3), (2, -1), (N, 0)):
+        with pytest.raises(ConfigurationError):
+            fs.E(i, j)
+    # the bounds as the pair-storing table computed them
+    first = np.array([r[0] for r in ref])
+    assert fs.first_column_bounds() == tuple(
+        float(np.linalg.norm(first[:, :m, c], 2, axis=(1, 2)).max())
+        for c in (slice(None, m), slice(m, None)))
+    norms = np.linalg.norm(blocks[:, :m, m:], 2, axis=(1, 2))
+    assert fs.duhamel_bound() == max(
+        float(nlw.quadrature.integrate(norms[i * (i + 1) // 2:][:i + 1],
+                                       fs.time_grid[:i + 1]))
+        for i in range(1, N))
+    assert fs.sup_norms()["S"] == float(norms.max())
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_tabulation_blowup_raises_propagation_error():
     # u'' = 1e4 u: each unit interval map is finite (entries <= 1.4e45), but
@@ -267,16 +317,30 @@ def test_load_rejects_foreign_file(tmp_path, diag_fs):
     fields = dict(kind=0, m=diag_fs.m, n=diag_fs.n_nodes, h=diag_fs.h)
     bad_grid = bytearray(raw)
     struct.pack_into("<d", bad_grid, HEADER_BYTES, 5.0)   # grid[0] = 5
+    # one entry of the block E(t_{N-1}, s_0), which the bands do not hold,
+    # off its product by 1e-6
+    n2, N = 2 * diag_fs.m, diag_fs.n_nodes
+    entry = HEADER_BYTES + 8 * (N + (N - 1) * N // 2 * n2 * n2)
+    perturbed = bytearray(raw)
+    struct.pack_into("<d", perturbed, entry,
+                     struct.unpack_from("<d", raw, entry)[0] + 1e-6)
+    body = HEADER_BYTES + 8 * N
+    zero_body = raw[:body] + bytes(len(raw) - body)
     # foreign bytes, truncated header, truncated blocks, trailing bytes;
     # a kind byte outside {0, 1}, h = nan and h < 0, a grid that does not
-    # increase; and exact-size files whose header holds m = 0 or n < 2
+    # increase; exact-size files whose header holds m = 0 or n < 2; and
+    # sound headers and grids with a body that is not a product of its
+    # interval maps (one perturbed block, a last diagonal entry of 0.5,
+    # all zeros)
     for junk in (b"not a dump", raw[:12], raw[:-8], raw + b"\0",
                  fs_header(**{**fields, "kind": 7}) + raw[HEADER_BYTES:],
                  fs_header(**{**fields, "h": np.nan}) + raw[HEADER_BYTES:],
                  fs_header(**{**fields, "h": -1.0}) + raw[HEADER_BYTES:],
                  bytes(bad_grid), fs_header(0, 0, 0, 1e-3),
                  fs_header(0, 4, 0, 1e-3),
-                 fs_header(0, 4, 1, 1e-3) + bytes(8 * (1 + 64))):
+                 fs_header(0, 4, 1, 1e-3) + bytes(8 * (1 + 64)),
+                 bytes(perturbed), raw[:-8] + struct.pack("<d", 0.5),
+                 zero_body):
         p.write_bytes(junk)
         with pytest.raises(ConfigurationError):
             nlw.load_fs(p)
@@ -287,19 +351,23 @@ def increasing(n):
                     max_size=n).map(np.cumsum)
 
 
+# kind bytes 0 and 1 are drawn often enough that sound files occur
 @settings(max_examples=200, deadline=None)
-@given(kind=st.integers(0, 255), m=st.integers(0, 3), n=st.integers(0, 5),
+@given(kind=st.one_of(st.integers(0, 1), st.integers(0, 255)),
+       m=st.integers(0, 3), n=st.integers(0, 5),
        h=st.one_of(st.floats(), st.sampled_from([1e-3, np.nan, np.inf, -1.0])),
        slack=st.sampled_from([0, 0, 0, -8, 8]), data=st.data())
 def test_load_fs_validates_every_header(tmp_path_factory, kind, m, n, h,
                                         slack, data):
     # a dump with random header fields either loads as a table with sound
-    # invariants or fails with ConfigurationError, never another exception
+    # invariants or fails with ConfigurationError, never another exception;
+    # the blocks are all identities, the table of interval maps Phi_j = I
     grid = np.asarray(data.draw(st.one_of(
         increasing(n), st.lists(st.floats(), min_size=n, max_size=n))),
         dtype=float)
     pairs = n * (n + 1) // 2
-    body = grid.astype("<f8").tobytes() + bytes(8 * pairs * 4 * m * m)
+    body = grid.astype("<f8").tobytes() + np.tile(
+        np.eye(2 * m), (pairs, 1, 1)).astype("<f8").tobytes()
     path = tmp_path_factory.mktemp("fuzz") / "fs.bin"
     path.write_bytes(fs_header(kind, m, n, h)
                      + (body + bytes(max(slack, 0)))[:len(body) + slack])
@@ -314,7 +382,7 @@ def test_load_fs_validates_every_header(tmp_path_factory, kind, m, n, h,
     assert fs.kind == ("damped" if kind else "undamped")
     assert (fs.m, fs.n_nodes, fs.h) == (m, n, h)
     np.testing.assert_array_equal(fs.time_grid, grid)
-    assert fs.blocks.shape == (pairs, 2 * m, 2 * m)
+    assert fs.blocks.shape == (n, 3, 2 * m, 2 * m)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -122,6 +122,17 @@ def test_manufactured_span_rejection():
     nlw.realize(sc, m=8)
 
 
+@pytest.mark.parametrize("override", [{"m": 0}, {"m": -3}, {"h": 0.0},
+                                      {"fs_step": 0.0}])
+def test_realize_rejects_zero_overrides(monkeypatch, override):
+    # zero is a value, not "use the scenario's default"
+    def unreachable(*args, **kwargs):
+        raise AssertionError("build_basis reached")
+    monkeypatch.setattr(nlw.scenarios, "build_basis", unreachable)
+    with pytest.raises(ConfigurationError):
+        nlw.realize(nlw.scenario_undamped_neumann(), **override)
+
+
 def test_kind_damping_consistency_check():
     sc = nlw.scenario_population()
     bad = dataclasses.replace(sc, damping_coef=None)

@@ -136,6 +136,18 @@ def test_oracle_equivalence_small_batch():
         assert disagree < 1e-6
 
 
+@pytest.mark.parametrize("grid", [[1.0, 0.5, 0.0], [0.0, np.nan, 1.0],
+                                  [[0.0, 0.5, 1.0]], []])
+def test_direct_integrate_rejects_bad_grid_before_integrating(monkeypatch,
+                                                              grid):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("integration started")
+    monkeypatch.setattr(voc, "_span", unreachable)
+    p = random_smooth_problem(np.random.default_rng(0))
+    with pytest.raises(ConfigurationError):
+        nlw.direct_integrate(p, 1e-3, grid=grid)
+
+
 def test_windowed_representation_matches_oracle():
     # the partition path: data frozen at an interior node t_a
     grid = np.linspace(0.0, 1.0, 51)
