@@ -29,12 +29,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import quadrature
 from .errors import ConfigurationError, PropagationError
 
 STABILITY_LIMIT = 2.5  # |omega * h| budget for the classical 4th-order method
 FREQUENCY_SAMPLES = 5  # times at which spectral_frequency measures ||A(t)||
 NODE_TOL = 1e-10       # how far a time may lie from the grid node it names
 LOAD_TOL = 1e-12       # relative distance of a loaded row from its products
+DUHAMEL_MARGIN = 1e-12  # relative slack of duhamel_bound's row upper bounds
+MEMORY_SHARE = 0.5     # share of MemAvailable that a table may plan to take
+
+_MEMINFO = "/proc/meminfo"
 
 _MAGIC = b"NLWFS001"
 
@@ -156,6 +161,42 @@ def propagate(op, s, t, U0, forcing=None, h=1e-3):
     return _span(op, s, t, U0, h, forcing=forcing)
 
 
+def table_bytes(m, n_nodes, audit=False):
+    """Bytes a table of ``n_nodes`` nodes with 2m x 2m blocks needs at its
+    peak: the interval maps and bands, the row being made and the row it is
+    made from, and with ``audit`` every row of the grid held at once, as
+    :func:`check_axioms` and :func:`adjoint_defect` hold them."""
+    blocks = 5 * n_nodes
+    if audit:
+        blocks += n_nodes * (n_nodes + 1) // 2
+    return blocks * 8 * (2 * m) ** 2
+
+
+def memory_budget():
+    """``MEMORY_SHARE`` of the MemAvailable line of /proc/meminfo, in bytes,
+    or None where the file or the line is missing."""
+    try:
+        with open(_MEMINFO) as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(MEMORY_SHARE * int(line.split()[1]) * 1024)
+    except OSError:
+        pass
+    return None
+
+
+def require_memory(m, n_nodes, audit=False):
+    """Raise :class:`ConfigurationError` before a table larger than the
+    :func:`memory_budget` is allocated."""
+    need = table_bytes(m, n_nodes, audit)
+    budget = memory_budget()
+    if budget is not None and need > budget:
+        raise ConfigurationError(
+            f"a table with m={m} on {n_nodes} nodes needs about "
+            f"{need / 2 ** 20:.0f} MiB, above the budget of "
+            f"{budget / 2 ** 20:.0f} MiB ({MEMORY_SHARE:g} of MemAvailable)")
+
+
 def _next_row(phi, prev):
     """Row j of a table from Phi_j and row j - 1: E(t_j, s_i) = Phi_j
     E(t_{j-1}, s_i) for i < j - 1, then Phi_j and the identity."""
@@ -181,10 +222,12 @@ class FundamentalSolution:
     slots with i - 1 - d < 0 hold zeros.  Every other block is made on
     demand by the products that filled the table: row i is Phi_i times
     row i - 1, followed by Phi_i and the identity.  The last row made is
-    kept, so rows in ascending order cost one batched product each.  The
-    block bounds are computed on first use and kept, which is sound because
-    the tables made by :func:`fundamental_solution` and :func:`load_fs` are
-    read-only.
+    kept, so rows in ascending order cost one batched product each; a table
+    from :func:`fundamental_solution` or :func:`load_fs` starts with the
+    grid's last row, made by the fill, and one built through this
+    constructor with none.  The block bounds are computed on first use and
+    kept, which is sound because the tables made by
+    :func:`fundamental_solution` and :func:`load_fs` are read-only.
     """
 
     def __init__(self, time_grid, m, kind, blocks, h):
@@ -255,15 +298,47 @@ class FundamentalSolution:
         return sup
 
     def duhamel_bound(self):
-        """max over t of int_0^t ||S(t,s)|| ds (the constant M_{2,T})."""
+        """max over t_i of int_0^t_i ||S(t_i,s)||_2 ds (the constant M_{2,T}).
+
+        Exact 2-norms are taken only for the rows that can decide the
+        maximum.  The last row made, which after :func:`fundamental_solution`
+        and :func:`load_fs` is the grid's last row, is integrated exactly
+        first, as the floor.  One ascending sweep then carries the 2m x m
+        right halves Phi_i E(t_{i-1}, s_j)[:, m:] and integrates, for each
+        row, the upper bound min(||S||_F, sqrt(||S||_1 ||S||_inf)) of
+        ||S||_2.  Only a row whose upper integral times (1 + DUHAMEL_MARGIN)
+        exceeds the best exact integral so far gets its own, from the whole
+        row :meth:`row` makes; the margin covers the last-bit rounding by
+        which the half products and the norms differ from the SVDs of the
+        whole-row blocks.  The composite weights are positive, so a skipped
+        row's exact integral cannot exceed the best one, and the result is
+        the same float as the maximum over the exact integrals of every row.
+        """
         if self._duhamel is None:
-            from . import quadrature
-            best = 0.0
+            m, grid = self.m, self.time_grid
+
+            def exact(i, row):
+                vals = np.linalg.norm(row[:, :m, m:], 2, axis=(1, 2))
+                return float(quadrature.integrate(vals, grid[:i + 1]))
+
+            k, row = self._last
+            best = exact(k, row) if k else 0.0
+            half = self._eye[None, :, m:]
             for i in range(1, self.n_nodes):
-                vals = np.linalg.norm(self.row(i)[:, : self.m, self.m:], 2,
-                                      axis=(1, 2))
-                best = max(best, float(quadrature.integrate(
-                    vals, self.time_grid[: i + 1])))
+                phi = self.blocks[i, 0]
+                prev, half = half, np.empty((i + 1, 2 * m, m))
+                np.matmul(phi, prev[:i - 1], out=half[:i - 1])
+                half[i - 1] = phi[:, m:]
+                half[i] = self._eye[:, m:]
+                if i == k:
+                    continue
+                s = np.abs(half[:, :m])
+                one, inf = s.sum(axis=1).max(axis=1), s.sum(axis=2).max(axis=1)
+                upper = np.minimum(np.sqrt(np.sum(s * s, axis=(1, 2))),
+                                   np.sqrt(one * inf))
+                bound = float(quadrature.integrate(upper, grid[:i + 1]))
+                if bound * (1.0 + DUHAMEL_MARGIN) > best:
+                    best = max(best, exact(i, self.row(i)))
             self._duhamel = best
         return self._duhamel
 
@@ -296,11 +371,14 @@ def fundamental_solution(op, grid, h=1e-3, validate=True):
     on the diagonal.  Every pair is a product of the same interval maps, so
     the composition identity E(t,s) = E(t,r)E(r,s) holds by construction up
     to matmul rounding.  Each row is made once here, to check that the
-    products stay finite, and only its bands are kept.
+    products stay finite, and only its bands are kept, apart from the last
+    row, which the table keeps as its cached row.  :func:`require_memory`
+    checks the table's size before anything is allocated.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
         raise ConfigurationError("grid must be strictly increasing with >= 2 nodes")
+    require_memory(op.dim, grid.size)
     if validate:
         validate_step(op, float(grid[-1]), h)
     n2 = 2 * op.dim
@@ -322,7 +400,9 @@ def fundamental_solution(op, grid, h=1e-3, validate=True):
         band = _bands(row)
         blocks[j, :len(band)] = band
     blocks.flags.writeable = False
-    return FundamentalSolution(grid, op.dim, op.kind, blocks, h)
+    fs = FundamentalSolution(grid, op.dim, op.kind, blocks, h)
+    fs._last = (N - 1, row)
+    return fs
 
 
 def _transition(op, t_from, t_to, h):
@@ -382,6 +462,7 @@ def check_axioms(fs, op, fd_delta=5e-5):
     """
     if fs.n_nodes < 4:
         raise ConfigurationError("axiom check needs a grid with >= 4 nodes")
+    require_memory(fs.m, fs.n_nodes, audit=True)
     grid = fs.time_grid
     m = fs.m
     N = fs.n_nodes
@@ -484,6 +565,7 @@ def adjoint_defect(fs, fs_reversed):
     if np.max(np.abs((T - grid)[::-1] - grid)) > 1e-9:
         raise ConfigurationError("adjoint check needs a reflection-symmetric grid")
     N = grid.size
+    require_memory(fs.m, N, audit=True)
     m = fs.m
     rows_r = [fs_reversed.row(k) for k in range(N)]
     defect = 0.0
@@ -525,10 +607,12 @@ def dump_fs(fs, path):
 def load_fs(path):
     """Read a :func:`dump_fs` file, one row at a time.
 
-    The table keeps the file's interval maps and bands.  Every row of the
-    file, the diagonal included, must equal the table's own product of its
-    interval maps to within ``LOAD_TOL`` times the row's largest entry;
-    otherwise the file is rejected with :class:`ConfigurationError`.
+    The table keeps the file's interval maps and bands, and as its cached
+    row the last of its own products.  Every row of the file, the diagonal
+    included, must equal the table's own product of its interval maps to
+    within ``LOAD_TOL`` times the row's largest entry; otherwise the file is
+    rejected with :class:`ConfigurationError`, as it is when the header
+    names a table above :func:`memory_budget`.
     """
     off = len(_MAGIC) + struct.calcsize("<BIId")
     with open(path, "rb") as fh:
@@ -546,6 +630,7 @@ def load_fs(path):
             raise ConfigurationError(
                 f"{path} holds {size} bytes; its header (m={m}, {n} nodes) "
                 f"needs exactly {expected}")
+        require_memory(m, n)
         grid = np.fromfile(fh, dtype="<f8", count=n)
         if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
             raise ConfigurationError(
@@ -565,5 +650,7 @@ def load_fs(path):
             band = _bands(row)
             blocks[i, :len(band)] = band
     blocks.flags.writeable = False
-    return FundamentalSolution(grid, m, "damped" if kind_b else "undamped",
-                               blocks, h)
+    fs = FundamentalSolution(grid, m, "damped" if kind_b else "undamped",
+                             blocks, h)
+    fs._last = (n - 1, own)
+    return fs

@@ -82,6 +82,11 @@ def single_interval_duhamel(fs, op, i, j0, F, dt):
     return 0.5 * dt * q0 - dt ** 2 / 12.0 * (q1p - q0p)
 
 
+def _mv(M, x):
+    """Stacked mat-vecs M[k] @ x[k], one gemv per slice."""
+    return (M @ x[..., None])[..., 0]
+
+
 def representation(fs, op, x0, y0, F, start=0, stop=None, u=None, v=None):
     """u/v tracks of the representation formula on nodes a..b = start..stop.
 
@@ -97,11 +102,15 @@ def representation(fs, op, x0, y0, F, start=0, stop=None, u=None, v=None):
     * odd k >= 3: Simpson up to t_{i-3}, carried by E(t_i, t_{i-3}), then
       one closing 3/8 panel on the last three intervals.
 
-    Each node costs a few (2m x 2m) mat-vecs, and only the blocks
-    E(t_i, t_j) with i - j <= 3 are read.  A forced window must be uniform.
-    Rows of ``u`` and ``v`` outside start..stop are left untouched.  The
-    table must be of ``op``'s kind, since the startup rule reads B(t) from
-    the operator.
+    The node loop advances only the two chains X and acc, two (2m x 2m)
+    mat-vecs per node with Phi_i read from ``fs.blocks``; the Simpson
+    terms, the closing panels (stacked mat-vecs over the bands of the odd
+    nodes) and the u/v split are then whole-window array passes.  Only the
+    blocks E(t_i, t_j) with i - j <= 3 are read, and the result is the same
+    floats as one 2-D mat-vec per block and node.  A forced window must be
+    uniform.  Rows of ``u`` and ``v`` outside start..stop are left
+    untouched.  The table must be of ``op``'s kind, since the startup rule
+    reads B(t) from the operator.
     """
     if op.kind != fs.kind:
         raise ConfigurationError(
@@ -111,40 +120,42 @@ def representation(fs, op, x0, y0, F, start=0, stop=None, u=None, v=None):
     grid = fs.time_grid
     a = start
     b = grid.size - 1 if stop is None else stop
+    K = b - a
     if u is None:
         dt = np.result_type(x0, y0, float if F is None else F)
         u = np.empty((grid.size, m), dtype=dt)
         v = np.empty((grid.size, m), dtype=dt)
-    X = np.concatenate([x0, y0])
-    u[a], v[a] = X[:m], X[m:]
-    forced = F is not None and b > a
+    phi = fs.blocks[a:b + 1]      # phi[k, d] = E(t_{a+k}, t_{a+k-1-d})
+    X0 = np.concatenate([x0, y0])
+    u[a], v[a] = X0[:m], X0[m:]
+    X = np.empty((K + 1, 2 * m), dtype=np.result_type(X0, float))
+    X[0] = X0
+    forced = F is not None and K > 0
     if forced:
         h = quadrature.require_uniform(grid[a:b + 1])
-        Z = np.zeros((b - a + 1, 2 * m), dtype=np.result_type(F, float))
+        Z = np.zeros((K + 1, 2 * m), dtype=np.result_type(F, float))
         Z[:, m:] = F[a:b + 1]
         acc = np.empty_like(Z)
         acc[0] = Z[0]
-    for k in range(1, b - a + 1):
-        i = a + k
-        phi = fs.E(i, i - 1)
-        X = phi @ X
-        if not forced:
-            u[i], v[i] = X[:m], X[m:]
-            continue
-        acc[k] = phi @ acc[k - 1] + (4.0 if k % 2 else 2.0) * Z[k]
-        if k == 1:
-            duh = 0.5 * h * (phi @ Z[0] + Z[1])
-            duh[:m] = single_interval_duhamel(fs, op, i, a, F, h)
-        elif k % 2 == 0:
-            duh = h / 3.0 * (acc[k] - Z[k])
-        else:
-            j = k - 3
-            duh = (fs.E(i, i - 3) @ (h / 3.0 * (acc[j] - Z[j])
-                                     + 3.0 * h / 8.0 * Z[j])
-                   + 9.0 * h / 8.0 * (fs.E(i, i - 2) @ Z[k - 2]
-                                      + phi @ Z[k - 1])
-                   + 3.0 * h / 8.0 * Z[k])
-        u[i], v[i] = X[:m] + duh[:m], X[m:] + duh[m:]
+    for k in range(1, K + 1):
+        X[k] = phi[k, 0] @ X[k - 1]
+        if forced:
+            acc[k] = phi[k, 0] @ acc[k - 1] + (4.0 if k % 2 else 2.0) * Z[k]
+    if forced:
+        duh = np.empty_like(Z)
+        duh[1] = 0.5 * h * (phi[1, 0] @ Z[0] + Z[1])
+        duh[1, :m] = single_interval_duhamel(fs, op, a + 1, a, F, h)
+        duh[2::2] = h / 3.0 * (acc[2::2] - Z[2::2])
+        # odd k >= 3: slice c picks k - 3 + c for k = 3, 5, .., K
+        n = max(K - 1, 0) // 2
+        k3, k2, k1, k0 = (slice(c, c + 2 * n, 2) for c in range(4))
+        y = h / 3.0 * (acc[k3] - Z[k3]) + 3.0 * h / 8.0 * Z[k3]
+        duh[k0] = (_mv(phi[k0, 2], y)
+                   + 9.0 * h / 8.0 * (_mv(phi[k0, 1], Z[k2])
+                                      + _mv(phi[k0, 0], Z[k1]))
+                   + 3.0 * h / 8.0 * Z[k0])
+    tail = X[1:] + duh[1:] if forced else X[1:]
+    u[a + 1:b + 1], v[a + 1:b + 1] = tail[:, :m], tail[:, m:]
     return u, v
 
 

@@ -230,6 +230,21 @@ def test_table_overflow_exits_1(tmp_path, command):
     assert "between nodes" in manifest["error"]
 
 
+@pytest.mark.parametrize("command, nodes, audit", [("solve", 81, False),
+                                                   ("axioms", 11, True)])
+def test_table_above_memory_budget_exits_1(tmp_path, monkeypatch, command,
+                                           nodes, audit):
+    # a fake budget one byte below the estimate: the solve's 81-node table,
+    # or the rows of the 11-node audit grid that axioms holds at once
+    need = nlw.propagator.table_bytes(4, nodes, audit=audit)
+    monkeypatch.setattr(nlw.propagator, "memory_budget", lambda: need - 1)
+    rc, out, manifest = run(tmp_path, "big", command=command,
+                            scenario="undamped_neumann", m="4")
+    assert rc == 1 and manifest["exit_code"] == 1
+    assert "MemAvailable" in manifest["error"]
+    assert manifest["outputs"] == []
+
+
 def test_config_file_drives_solve(tmp_path):
     cfg_file = tmp_path / "toy.cfg"
     import dataclasses

@@ -8,7 +8,8 @@ from scipy.integrate import solve_ivp
 
 import nonlocalwave as nlw
 from nonlocalwave import ConfigurationError
-from nonlocalwave.propagator import _span
+from nonlocalwave import propagator
+from nonlocalwave.propagator import _bands, _next_row, _span
 
 
 def scalar_op(a, b=None):
@@ -148,6 +149,17 @@ def dense_rows(fs):
     return blocks, [blocks[s:s + i + 1] for i, s in enumerate(start)]
 
 
+def dense_row_integrals(fs):
+    """int_0^{t_i} ||S(t_i, s)|| ds for every row i >= 1, from the 2-norms
+    of every stored pair of the dense table."""
+    m = fs.m
+    blocks, _ = dense_rows(fs)
+    norms = np.linalg.norm(blocks[:, :m, m:], 2, axis=(1, 2))
+    return [float(nlw.quadrature.integrate(norms[i * (i + 1) // 2:][:i + 1],
+                                           fs.time_grid[:i + 1]))
+            for i in range(1, fs.n_nodes)]
+
+
 @pytest.mark.parametrize("m", [1, 4])
 @pytest.mark.parametrize("damped", [False, True])
 def test_rows_and_bounds_match_dense_table(rng, damped, m):
@@ -173,12 +185,146 @@ def test_rows_and_bounds_match_dense_table(rng, damped, m):
     assert fs.first_column_bounds() == tuple(
         float(np.linalg.norm(first[:, :m, c], 2, axis=(1, 2)).max())
         for c in (slice(None, m), slice(m, None)))
+    assert fs.duhamel_bound() == max(dense_row_integrals(fs))
     norms = np.linalg.norm(blocks[:, :m, m:], 2, axis=(1, 2))
-    assert fs.duhamel_bound() == max(
-        float(nlw.quadrature.integrate(norms[i * (i + 1) // 2:][:i + 1],
-                                       fs.time_grid[:i + 1]))
-        for i in range(1, N))
     assert fs.sup_norms()["S"] == float(norms.max())
+
+
+def growing_stiffness_table(m, damped):
+    """a(t) = lam e^{3t}: the row integrals of ||S|| peak at row 9 of 12."""
+    lam = np.diag(np.linspace(1.0, 3.0, m))
+    op = nlw.undamped_operator(lambda t: lam * np.exp(3.0 * t), m)
+    if damped:
+        op = nlw.damped_operator(op.a_of_t, lambda t: 0.1 * np.eye(m), m)
+    return nlw.fundamental_solution(op, np.linspace(0.0, 1.2, 13), h=1e-2)
+
+
+def table_from_maps(grid, maps):
+    """An undamped-kind table on ``grid`` whose interval maps are ``maps``,
+    built through the constructor, so it keeps no row."""
+    n2 = maps.shape[-1]
+    blocks = np.zeros((len(grid), 3, n2, n2))
+    row = np.eye(n2)[None]
+    for j, phi in enumerate(maps, 1):
+        row = _next_row(phi, row)
+        band = _bands(row)
+        blocks[j, :len(band)] = band
+    blocks.flags.writeable = False
+    return nlw.FundamentalSolution(grid, n2 // 2, "undamped", blocks, 1e-2)
+
+
+def tied_rows_table(m):
+    """S(t_i, s) of rows 2 and 4 is x at s_1 (weight 4h/3 in both rows) and
+    zero elsewhere, so their integrals are the same float; the last row has
+    half of it."""
+    eye, zero = np.eye(m), np.zeros((m, m))
+    x = np.diag(np.linspace(1.0, 2.0, m))
+    maps = np.array([np.block([[eye, zero], [eye, zero]]),   # S(1, 0) = 0
+                     np.block([[zero, x], [eye, zero]]),     # S(2, 0) = 0
+                     np.eye(2 * m), np.eye(2 * m), 0.5 * np.eye(2 * m)])
+    return table_from_maps(np.linspace(0.0, 0.5, 6), maps)
+
+
+@pytest.mark.parametrize("m", [1, 4])
+@pytest.mark.parametrize("family", ["interior", "interior-damped", "tie",
+                                    "rebuilt-interior", "rebuilt-random"])
+def test_pruned_duhamel_bound_matches_dense_table(rng, family, m):
+    if family == "tie":
+        fs = tied_rows_table(m)
+    elif family == "rebuilt-random":
+        fs = nlw.fundamental_solution(_random_operator(rng, m, True),
+                                      np.linspace(0.0, 1.2, 10), h=1e-2)
+    else:
+        fs = growing_stiffness_table(m, damped=family.endswith("damped"))
+    if family.startswith("rebuilt"):
+        fs = nlw.FundamentalSolution(fs.time_grid, m, fs.kind, fs.blocks,
+                                     fs.h)
+    ints = dense_row_integrals(fs)
+    best = max(ints)
+    if "interior" in family:
+        assert ints.index(best) + 1 < fs.n_nodes - 1
+        assert ints[-1] < best
+    if family == "tie":
+        assert [i + 1 for i, v in enumerate(ints) if v == best] == [2, 4]
+        assert ints[-1] < best
+    assert fs.duhamel_bound() == best
+
+
+def count_exact_norm_blocks(monkeypatch):
+    """Count the blocks handed to 2-norms from here on."""
+    count = [0]
+    norm = np.linalg.norm
+
+    def counting(x, ord=None, axis=None, keepdims=False):
+        if ord == 2:
+            count[0] += int(np.prod(np.shape(x)[:-2]))
+        return norm(x, ord, axis, keepdims)
+    monkeypatch.setattr(np.linalg, "norm", counting)
+    return count
+
+
+@pytest.mark.parametrize("name", ["population", "undamped_neumann"])
+def test_duhamel_bound_takes_at_most_one_row_of_exact_norms(
+        tmp_path, monkeypatch, name):
+    rz = nlw.realize(nlw.builtin_scenarios()[name], m=32)
+    fs, N = rz.fs, rz.fs.n_nodes
+    count = count_exact_norm_blocks(monkeypatch)
+    bound = fs.duhamel_bound()
+    fresh = count[0]
+    assert 0 < fresh <= N
+    monkeypatch.undo()
+    path = tmp_path / "fs.bin"
+    nlw.dump_fs(fs, path)
+    loaded = nlw.load_fs(path)
+    path.unlink()
+    count = count_exact_norm_blocks(monkeypatch)
+    assert loaded.duhamel_bound() == bound
+    assert count[0] == fresh
+
+
+def test_table_bytes_counts_bands_working_rows_and_audit_rows():
+    block = 8 * 64 ** 2
+    assert propagator.table_bytes(32, 81) == 5 * 81 * block
+    assert propagator.table_bytes(32, 11, audit=True) == (55 + 66) * block
+    # --m 512 on the shipped 81-node grid: 2.0 GiB of bands, 0.68 GiB a row
+    assert propagator.table_bytes(512, 81) == 405 * 8 * 1024 ** 2
+
+
+def test_memory_guard_rejects_before_anything_is_made(monkeypatch, tmp_path):
+    def unreachable(t):
+        raise AssertionError("A(t) assembled")
+    monkeypatch.setattr(propagator, "memory_budget",
+                        lambda: propagator.table_bytes(512, 81) - 1)
+    with pytest.raises(ConfigurationError, match="MemAvailable"):
+        nlw.fundamental_solution(nlw.undamped_operator(unreachable, 512),
+                                 np.linspace(0.0, 2.0, 81))
+    # a table at the budget passes; its audit and its dump do not
+    op = scalar_op(1.0)
+    grid = np.linspace(0.0, 1.0, 11)
+    monkeypatch.setattr(propagator, "memory_budget",
+                        lambda: propagator.table_bytes(1, 11))
+    fs = nlw.fundamental_solution(op, grid, h=1e-2)
+    with pytest.raises(ConfigurationError, match="MemAvailable"):
+        nlw.check_axioms(fs, op)
+    with pytest.raises(ConfigurationError, match="MemAvailable"):
+        propagator.adjoint_defect(fs, fs)
+    nlw.dump_fs(fs, tmp_path / "fs.bin")
+    monkeypatch.setattr(propagator, "memory_budget",
+                        lambda: propagator.table_bytes(1, 11) - 1)
+    with pytest.raises(ConfigurationError, match="MemAvailable"):
+        nlw.load_fs(tmp_path / "fs.bin")
+
+
+def test_memory_budget_reads_mem_available(monkeypatch, tmp_path):
+    info = tmp_path / "meminfo"
+    info.write_text("MemTotal:  4000 kB\nMemAvailable:   1000 kB\n")
+    monkeypatch.setattr(propagator, "_MEMINFO", str(info))
+    assert propagator.memory_budget() == int(
+        propagator.MEMORY_SHARE * 1000 * 1024)
+    info.write_text("MemTotal:  4000 kB\n")
+    assert propagator.memory_budget() is None
+    monkeypatch.setattr(propagator, "_MEMINFO", str(tmp_path / "missing"))
+    assert propagator.memory_budget() is None
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -344,14 +344,94 @@ class RecordingFamily(nlw.FundamentalSolution):
 
 @pytest.mark.parametrize("kind", ["undamped", "damped"])
 def test_recurrence_reads_only_near_diagonal_blocks(kind):
+    # the interval maps and bands come from fs.blocks; what goes through
+    # E is the startup rule's E(t_{a+1}, t_a), and no whole row is made
     op, fs = random_family(kind)
     rec = RecordingFamily(fs)
     m, N = fs.m, fs.n_nodes
     F = np.random.default_rng(6).standard_normal((N, m))
     for a in (0, 17):
         voc.representation(rec, op, np.ones(m), np.ones(m), F, start=a)
-    assert rec.reads
-    assert max(i - j for i, j in rec.reads) <= 3
+    assert rec.reads and max(i - j for i, j in rec.reads) <= 3
+    assert set(rec.reads) == {(1, 0), (18, 17)}
+
+
+def per_node_representation(fs, op, x0, y0, F, start=0, stop=None, u=None,
+                            v=None):
+    """The recurrence with every node's Duhamel term formed in the node
+    loop, one 2-D mat-vec per block read through E."""
+    m = fs.m
+    grid = fs.time_grid
+    a = start
+    b = grid.size - 1 if stop is None else stop
+    if u is None:
+        dt = np.result_type(x0, y0, float if F is None else F)
+        u = np.empty((grid.size, m), dtype=dt)
+        v = np.empty((grid.size, m), dtype=dt)
+    X = np.concatenate([x0, y0])
+    u[a], v[a] = X[:m], X[m:]
+    forced = F is not None and b > a
+    if forced:
+        h = quadrature.require_uniform(grid[a:b + 1])
+        Z = np.zeros((b - a + 1, 2 * m), dtype=np.result_type(F, float))
+        Z[:, m:] = F[a:b + 1]
+        acc = np.empty_like(Z)
+        acc[0] = Z[0]
+    for k in range(1, b - a + 1):
+        i = a + k
+        phi = fs.E(i, i - 1)
+        X = phi @ X
+        if not forced:
+            u[i], v[i] = X[:m], X[m:]
+            continue
+        acc[k] = phi @ acc[k - 1] + (4.0 if k % 2 else 2.0) * Z[k]
+        if k == 1:
+            duh = 0.5 * h * (phi @ Z[0] + Z[1])
+            duh[:m] = voc.single_interval_duhamel(fs, op, i, a, F, h)
+        elif k % 2 == 0:
+            duh = h / 3.0 * (acc[k] - Z[k])
+        else:
+            j = k - 3
+            duh = (fs.E(i, i - 3) @ (h / 3.0 * (acc[j] - Z[j])
+                                     + 3.0 * h / 8.0 * Z[j])
+                   + 9.0 * h / 8.0 * (fs.E(i, i - 2) @ Z[k - 2]
+                                      + phi @ Z[k - 1])
+                   + 3.0 * h / 8.0 * Z[k])
+        u[i], v[i] = X[:m] + duh[:m], X[m:] + duh[m:]
+    return u, v
+
+
+@pytest.mark.parametrize("kind", ["undamped", "damped"])
+@pytest.mark.parametrize("data", ["real", "complex", "homogeneous"])
+def test_representation_equals_per_node_loop(kind, data):
+    op, fs = random_family(kind)
+    m, N = fs.m, fs.n_nodes
+    rng = np.random.default_rng(7)
+    x0, y0 = rng.standard_normal(m), rng.standard_normal(m)
+    F = rng.standard_normal((N, m))
+    if data == "complex":
+        y0 = y0 + 1j * rng.standard_normal(m)
+        F = F + 1j * rng.standard_normal((N, m))
+    elif data == "homogeneous":
+        F = None
+    dt = np.result_type(x0, y0, float if F is None else F)
+    for a in (0, 1, 17):
+        for stop in [a + K for K in range(6)] + [None]:
+            got = voc.representation(fs, op, x0, y0, F, start=a, stop=stop)
+            ref = per_node_representation(fs, op, x0, y0, F, start=a,
+                                          stop=stop)
+            b = N - 1 if stop is None else stop
+            for g, r in zip(got, ref):
+                assert g.dtype == r.dtype == dt
+                assert np.array_equal(g[a:b + 1], r[a:b + 1]), (a, stop)
+            # given tracks: the rows outside the window keep their values
+            u, v = np.full((N, m), 7.0, dt), np.full((N, m), -7.0, dt)
+            voc.representation(fs, op, x0, y0, F, start=a, stop=stop,
+                               u=u, v=v)
+            assert np.array_equal(u[a:b + 1], ref[0][a:b + 1])
+            assert np.array_equal(v[a:b + 1], ref[1][a:b + 1])
+            outside = np.r_[0:a, b + 1:N]
+            assert np.all(u[outside] == 7.0) and np.all(v[outside] == -7.0)
 
 
 def test_representation_rejects_nonuniform_window():
