@@ -126,7 +126,9 @@ def _evaluate(node, env):
         return a - b
     if kind == "mul":
         return a * b
-    return a / b
+    # numpy semantics for plain floats too: a zero denominator gives inf or
+    # nan, which callers check for, never ZeroDivisionError
+    return np.divide(a, b)
 
 
 def _derivative(node, var):

@@ -2,10 +2,12 @@
 
 A form a(t; u, v) = int a(t,x) grad(u).grad(v) + int c(t,x) u v is assembled
 against a :class:`~nonlocalwave.spectral.SpectralBasis` by quadrature.  The
-module also certifies, numerically, the hypotheses the solver relies on:
-uniform boundedness (operator norm measured V -> V' in coordinates),
-(possibly shifted) coercivity, the time-regularity modulus omega with its
-two Dini integrals, and Lipschitz constants of nonlocal kernels.
+time-stepping suppliers assemble a coefficient that depends on t alone as
+c(t) K, from a Gram matrix K built once per basis.  The module also certifies,
+numerically, the hypotheses the solver relies on: uniform boundedness
+(operator norm measured V -> V' in coordinates), (possibly shifted)
+coercivity, the time-regularity modulus omega with its two Dini integrals,
+and Lipschitz constants of nonlocal kernels.
 
 The square-root property is not checked: at finite dimension it holds by
 construction (bounded perturbation of a symmetric operator, numerical range
@@ -36,7 +38,7 @@ class CoefficientField:
     evaluator: Callable
     lower: float | None = None
     upper: float | None = None
-    source: str | None = None
+    expression: Expression | None = None   # None for a callable coefficient
 
     def __call__(self, t, x, y=None):
         return np.broadcast_to(
@@ -47,13 +49,13 @@ def coefficient_field(symbol, expr, lower=None, upper=None):
     """Build a coefficient field from an expression string/number/callable."""
     if callable(expr) and not isinstance(expr, Expression):
         return CoefficientField(symbol, lambda t, x, y=None: expr(t, x, y),
-                                lower, upper, source=None)
+                                lower, upper)
     e = as_expression(expr)
 
     def evaluator(t, x, y=None):
         return e(t=t, x=x, y=0.0 if y is None else y)
 
-    return CoefficientField(symbol, evaluator, lower, upper, source=e.source)
+    return CoefficientField(symbol, evaluator, lower, upper, expression=e)
 
 
 def validate_coefficient(field, basis, horizon):
@@ -122,50 +124,103 @@ def _weighted_gram(table_a, table_b, weights, values):
     return (table_a * (weights * values)) @ table_b.T
 
 
-def assemble(form, basis, t):
-    """Galerkin matrix of a(t; ., .) by quadrature; entry (j, k) is
-    a(t; Psi_k, Psi_j)."""
-    m = basis.m
-    entries = np.zeros((m, m))
+def _gram(tables, basis, values):
+    """Quadrature Gram matrix of one coefficient from its values at the
+    nodes: the sum over ``tables`` of T diag(w * values) T^T."""
+    out = _weighted_gram(tables[0], tables[0], basis.weights, values)
+    for table in tables[1:]:
+        out += _weighted_gram(table, table, basis.weights, values)
+    return out
+
+
+def _coefficient_gram(coef, tables, basis, t):
+    return _gram(tables, basis, coef(t, basis.nodes_x, basis.nodes_y))
+
+
+def _stiffness_parts(form, basis):
+    """(coefficient, tables) of each term of a(t; ., .)."""
+    parts = []
     if form.gradient_coef is not None:
-        vals = form.gradient_coef(t, basis.nodes_x, basis.nodes_y)
-        entries += _weighted_gram(basis.grad_x, basis.grad_x, basis.weights, vals)
-        if basis.grad_y is not None:
-            entries += _weighted_gram(basis.grad_y, basis.grad_y, basis.weights, vals)
+        grads = (basis.grad_x,) if basis.grad_y is None else \
+            (basis.grad_x, basis.grad_y)
+        parts.append((form.gradient_coef, grads))
     if form.zeroth_coef is not None:
-        vals = form.zeroth_coef(t, basis.nodes_x, basis.nodes_y)
-        entries += _weighted_gram(basis.eval_table, basis.eval_table,
-                                  basis.weights, vals)
-    if not np.all(np.isfinite(entries)):
-        name = (form.gradient_coef or form.zeroth_coef).symbol
+        parts.append((form.zeroth_coef, (basis.eval_table,)))
+    return parts
+
+
+def _damping_parts(form, basis):
+    if form.damping_coef is None:
+        raise ConfigurationError("form has no damping coefficient")
+    return [(form.damping_coef, (basis.eval_table,))]
+
+
+def _checked_sum(pieces, m, t):
+    """Sum of the (coefficient, matrix) pieces; non-finite entries raise
+    :class:`ConfigurationError` naming the coefficient whose piece has them."""
+    entries = np.zeros((m, m))
+    for _, piece in pieces:
+        entries += piece
+    if not np.isfinite(entries).all():
+        name = next((coef.symbol for coef, piece in pieces
+                     if not np.isfinite(piece).all()), pieces[-1][0].symbol)
         raise ConfigurationError(
             f"assembly produced non-finite entries (coefficient {name!r}) at t={t}")
     return entries
 
 
+def assemble(form, basis, t):
+    """Galerkin matrix of a(t; ., .) by quadrature; entry (j, k) is
+    a(t; Psi_k, Psi_j)."""
+    return _checked_sum([(coef, _coefficient_gram(coef, tables, basis, t))
+                         for coef, tables in _stiffness_parts(form, basis)],
+                        basis.m, t)
+
+
 def assemble_damping(form, basis, t):
     """Galerkin matrix of the damping form b(t; u, v) = int sigma u v."""
-    if form.damping_coef is None:
-        raise ConfigurationError("form has no damping coefficient")
-    vals = form.damping_coef(t, basis.nodes_x, basis.nodes_y)
-    entries = _weighted_gram(basis.eval_table, basis.eval_table,
-                             basis.weights, vals)
-    if not np.all(np.isfinite(entries)):
-        raise ConfigurationError(
-            f"assembly produced non-finite entries (coefficient "
-            f"{form.damping_coef.symbol!r}) at t={t}")
-    return entries
+    return _checked_sum([(coef, _coefficient_gram(coef, tables, basis, t))
+                         for coef, tables in _damping_parts(form, basis)],
+                        basis.m, t)
+
+
+def _affine_part(coef, tables, basis):
+    """Time -> one coefficient's Gram matrix.
+
+    An expression over t alone gives c(t) K, with K its Gram matrix at
+    c = 1 built here once.  Any other coefficient (over x or y, or a
+    callable) is assembled by quadrature at each t, as :func:`assemble`
+    does, and gives its matrices bit for bit.
+    """
+    e = coef.expression
+    if e is None or e.depends_on("x") or e.depends_on("y"):
+        return lambda t: _coefficient_gram(coef, tables, basis, t)
+    K = _gram(tables, basis, 1.0)
+    return lambda t: e(t=t) * K
+
+
+def _affine_supplier(parts, basis):
+    parts = [(coef, _affine_part(coef, tables, basis)) for coef, tables in parts]
+    return lambda t: _checked_sum([(coef, part(t)) for coef, part in parts],
+                                  basis.m, t)
 
 
 def stiffness_supplier(form, basis):
-    """Time -> ndarray supplier of A(t), for the block propagator."""
-    return lambda t: assemble(form, basis, t)
+    """Time -> ndarray supplier of A(t), for the block propagator.
+
+    A coefficient over t alone costs an m x m scaling of a Gram matrix
+    built here; any other is assembled by quadrature at each t, as
+    :func:`assemble` does.
+    """
+    return _affine_supplier(_stiffness_parts(form, basis), basis)
 
 
 def damping_supplier(form, basis):
+    """Time -> ndarray supplier of B(t), assembled like
+    :func:`stiffness_supplier`; None for an undamped form."""
     if form.damping_coef is None:
         return None
-    return lambda t: assemble_damping(form, basis, t)
+    return _affine_supplier(_damping_parts(form, basis), basis)
 
 
 def build_Am(stiffness, basis, m_sub, alpha):
@@ -185,10 +240,6 @@ def build_Am(stiffness, basis, m_sub, alpha):
     comp = alpha * basis.v_weights[m_sub:]
     out[m_sub:, m_sub:] = np.diag(comp)
     return out
-
-
-def projected_supplier(form, basis, m_sub, alpha):
-    return lambda t: build_Am(assemble(form, basis, t), basis, m_sub, alpha)
 
 
 def vvprime_norm(entries, v_weights):

@@ -65,6 +65,12 @@ def test_algebra_operators():
     assert np.isclose((-a)(t=3.0), -3.0)
 
 
+def test_zero_denominator_gives_inf_not_an_exception():
+    with np.errstate(divide="ignore"):
+        assert parse_expression("1/(t - 0.5)")(t=0.5) == np.inf
+        assert parse_expression("t + 1/(1 - 1)")(t=0.0) == np.inf
+
+
 def test_depends_on():
     e = parse_expression("exp(-t)")
     assert e.depends_on("t") and not e.depends_on("x")

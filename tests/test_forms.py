@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import nonlocalwave as nlw
-from nonlocalwave import CertificationError, ConfigurationError, quadrature
+from nonlocalwave import CertificationError, ConfigurationError, forms, quadrature
 from nonlocalwave.forms import vvprime_norm
 
 
@@ -46,6 +46,112 @@ def test_assemble_damping(basis3):
     np.testing.assert_allclose(M, 2.0 * np.eye(3), atol=1e-12)
     with pytest.raises(ConfigurationError):
         nlw.assemble_damping(form("1", None), basis3, 0.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_assembly_names_its_coefficient(basis3):
+    f = form("1", "1/(t - 0.5)", damping="1/(0.5 - t)")
+    calls = [lambda t: nlw.assemble(f, basis3, t),
+             nlw.stiffness_supplier(f, basis3)]
+    messages = set()
+    for call in calls:
+        with pytest.raises(ConfigurationError, match="coefficient 'c'") as err:
+            call(0.5)
+        messages.add(str(err.value))
+    assert messages == {"assembly produced non-finite entries (coefficient "
+                        "'c') at t=0.5"}
+    for call in (lambda t: nlw.assemble_damping(f, basis3, t),
+                 nlw.damping_supplier(f, basis3)):
+        with pytest.raises(ConfigurationError, match="coefficient 'sigma'"):
+            call(0.5)
+    # a constant pole: c(t) = inf at every t
+    g = form("t + 1/(1 - 1)", "1")
+    for call in (lambda t: nlw.assemble(g, basis3, t),
+                 nlw.stiffness_supplier(g, basis3)):
+        with pytest.raises(ConfigurationError, match="coefficient 'a'"):
+            call(0.2)
+
+
+def test_callable_coefficient_stays_on_quadrature(basis3):
+    a = nlw.coefficient_field("a", lambda t, x, y: 1.0 + t * np.cos(x))
+    f = nlw.FormSpec(a, None, None, 1.0)
+    assert a.expression is None
+    assert np.array_equal(nlw.stiffness_supplier(f, basis3)(0.3),
+                          nlw.assemble(f, basis3, 0.3))
+
+
+SUPPLIER_COEFFICIENTS = ["1 + t/2", "(1 + t)*(2 + cos(x))",
+                       "(1 + 0.1*sin(t))/(2 + x)", "1 + t*x + exp(-t*x)",
+                       "1 + t*y - cos(x)*sin(t)*exp(-y)", "1 + t*exp(-y)",
+                       "0.5"]
+
+
+@pytest.mark.parametrize("domain", ["interval", "rectangle"])
+@pytest.mark.parametrize("coef", SUPPLIER_COEFFICIENTS)
+def test_suppliers_match_quadrature(coef, domain):
+    dom = nlw.interval(np.pi) if domain == "interval" else \
+        nlw.rectangle(np.pi, 2.0)
+    basis = nlw.build_basis(dom, 6)
+    f = form(coef, "0.2 + " + coef, damping=coef)
+    pairs = [(nlw.stiffness_supplier(f, basis), nlw.assemble),
+             (nlw.damping_supplier(f, basis), nlw.assemble_damping)]
+    for supplier, assemble in pairs:
+        for t in (0.0, 0.37, 1.0):
+            want = assemble(f, basis, t)
+            got = supplier(t)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("coef", ["exp(-t*x)", "(1 + t)*(2 + cos(x))"])
+def test_x_dependent_form_keeps_quadrature_bit_for_bit(coef, basis_pi8):
+    f = form(coef, coef + "/4", damping=coef + "/2")
+    for t in (0.0, 0.37, 1.0):
+        assert np.array_equal(nlw.stiffness_supplier(f, basis_pi8)(t),
+                              nlw.assemble(f, basis_pi8, t))
+        assert np.array_equal(nlw.damping_supplier(f, basis_pi8)(t),
+                              nlw.assemble_damping(f, basis_pi8, t))
+
+
+def count_grams(monkeypatch):
+    """Count the quadrature Gram products made from here on."""
+    count = [0]
+    gram = forms._weighted_gram
+
+    def counted(*args):
+        count[0] += 1
+        return gram(*args)
+    monkeypatch.setattr(forms, "_weighted_gram", counted)
+    return count
+
+
+@pytest.mark.parametrize("scenario", [nlw.scenario_undamped_neumann,
+                                      nlw.scenario_population])
+def test_tabulation_and_solve_make_no_quadrature(scenario, monkeypatch):
+    sc = scenario()
+    count = count_grams(monkeypatch)
+    rz = nlw.realize(sc, m=8)
+    # every shipped coefficient depends on t alone: one Gram matrix K
+    # per coefficient, built with the suppliers
+    assert count[0] == (2 if sc.damping_coef is None else 3)
+    count[0] = 0
+    nlw.solve_realization(rz)
+    assert count[0] == 0
+
+
+def test_x_dependent_tabulation_keeps_its_quadrature_count(basis_pi8,
+                                                            monkeypatch):
+    f = form("exp(-t*x)", None)
+    grid = np.linspace(0.0, 1.0, 11)
+    op = nlw.undamped_operator(nlw.stiffness_supplier(f, basis_pi8), 8)
+    quadrature_op = nlw.undamped_operator(
+        lambda t: nlw.assemble(f, basis_pi8, t), 8)
+    count = count_grams(monkeypatch)
+    want = nlw.fundamental_solution(quadrature_op, grid, h=1e-2)
+    per_table = count[0]
+    count[0] = 0
+    got = nlw.fundamental_solution(op, grid, h=1e-2)
+    assert count[0] == per_table > 0
+    assert np.array_equal(got.blocks, want.blocks)
 
 
 def test_build_Am_full_projection_is_identity(basis3):
@@ -141,12 +247,12 @@ def test_coercivity_witnessed_on_random_vectors(basis_pi8, rng):
 
 
 def test_projected_operator_inherits_constants(basis_pi8):
-    from nonlocalwave.forms import projected_supplier
     f = form("1 + t/2", "1")
     cert = nlw.certify(f, basis_pi8)
     alpha = 0.5
-    sup = projected_supplier(f, basis_pi8, 5, alpha)
-    cert_m = nlw.certify_operator(sup, basis_pi8, 1.0)
+    cert_m = nlw.certify_operator(
+        lambda t: nlw.build_Am(nlw.assemble(f, basis_pi8, t), basis_pi8, 5, alpha),
+        basis_pi8, 1.0)
     assert cert_m.coercivity_alpha >= min(cert.coercivity_alpha, alpha) - 1e-10
     assert cert_m.bound_c <= max(cert.bound_c, alpha) + 1e-10
 
