@@ -37,7 +37,12 @@ FREQUENCY_SAMPLES = 5  # times at which spectral_frequency measures ||A(t)||
 NODE_TOL = 1e-10       # how far a time may lie from the grid node it names
 LOAD_TOL = 1e-12       # relative distance of a loaded row from its products
 DUHAMEL_MARGIN = 1e-12  # relative slack of duhamel_bound's row upper bounds
+FLOOR_SLACK = 1e-9     # relative slack of duhamel_bound's backward floor
 MEMORY_SHARE = 0.5     # share of MemAvailable that a table may plan to take
+# a table is made without its rows while _log_growth_bound stays below half
+# the exponent range of a float; the other half absorbs the rounding of the
+# products it bounds
+OVERFLOW_LOG_LIMIT = 0.5 * float(np.log(np.finfo(float).max))
 
 _MEMINFO = "/proc/meminfo"
 
@@ -103,7 +108,11 @@ def _span(op, t0, t1, X, h, forcing=None, check_every_step=True):
     ``X`` is a state (2m,) or a stack of states (2m, k); ``forcing`` maps t
     to the second-block vector f(t).  The stage matrices are evaluated at
     each substep's start, midpoint and end, and a substep starting exactly
-    where the previous one ended reuses that end's matrices.
+    where the previous one ended reuses that end's matrices.  The stages
+    are written into buffers made once per call, the caller's ``X`` is not
+    written, and -A(t), -B(t) are formed once per stage time:
+    (-A) @ x is -(A @ x) bit for bit, so the result is the one of the
+    out-of-place expression X + dt/6 (k1 + 2 k2 + 2 k3 + k4).
     """
     if t1 == t0:
         return X
@@ -112,35 +121,59 @@ def _span(op, t0, t1, X, h, forcing=None, check_every_step=True):
     m = op.dim
 
     def mats(t):
-        A = np.asarray(op.a_of_t(t))
-        B = None if op.b_of_t is None else np.asarray(op.b_of_t(t))
-        return A, B
+        neg_a = -np.asarray(op.a_of_t(t))
+        neg_b = None if op.b_of_t is None else -np.asarray(op.b_of_t(t))
+        return neg_a, neg_b
 
-    def rhs(A, B, X, t):
-        bottom = -(A @ X[:m])
-        if B is not None:
-            bottom = bottom - B @ X[m:]
+    # the stages take the dtype the out-of-place sums reach: a complex A,
+    # B or f makes a real state complex
+    t_end, end = t0, mats(t0)
+    dtype = np.result_type(X, *(M for M in end if M is not None))
+    if forcing is not None:
+        dtype = np.result_type(dtype, forcing(t0))
+    X = np.array(X, dtype=dtype)
+    k1, k2, k3, k4, Y = (np.empty_like(X) for _ in range(5))
+    damp = None if op.b_of_t is None else np.empty_like(X[m:])
+
+    def stage(neg_a, neg_b, Y, t, k):
+        """k = G(t) Y + (0, f(t))."""
+        k[:m] = Y[m:]
+        bottom = k[m:]
+        np.matmul(neg_a, Y[:m], out=bottom)
+        if neg_b is not None:
+            bottom += np.matmul(neg_b, Y[m:], out=damp)
         if forcing is not None:
             f = forcing(t)
-            bottom = bottom + (f if X.ndim == 1 else f[:, None])
-        return np.concatenate([X[m:], bottom], axis=0)
+            bottom += f if Y.ndim == 1 else f[:, None]
 
-    t_end = end = None
-    for k in range(n):
-        t = t0 + k * dt
+    for step in range(n):
+        t = t0 + step * dt
         A0, B0 = end if t == t_end else mats(t)
         Am, Bm = mats(t + 0.5 * dt)
         t_end, end = t + dt, mats(t + dt)
         A1, B1 = end
-        k1 = rhs(A0, B0, X, t)
-        k2 = rhs(Am, Bm, X + (0.5 * dt) * k1, t + 0.5 * dt)
-        k3 = rhs(Am, Bm, X + (0.5 * dt) * k2, t + 0.5 * dt)
-        k4 = rhs(A1, B1, X + dt * k3, t + dt)
-        X = X + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        stage(A0, B0, X, t, k1)
+        np.multiply(k1, 0.5 * dt, out=Y)
+        Y += X
+        stage(Am, Bm, Y, t + 0.5 * dt, k2)
+        np.multiply(k2, 0.5 * dt, out=Y)
+        Y += X
+        stage(Am, Bm, Y, t + 0.5 * dt, k3)
+        np.multiply(k3, dt, out=Y)
+        Y += X
+        stage(A1, B1, Y, t + dt, k4)
+        k2 *= 2.0
+        k1 += k2
+        k3 *= 2.0
+        k1 += k3
+        k1 += k4
+        k1 *= dt / 6.0
+        X += k1
         if check_every_step and not np.all(np.isfinite(X)):
             raise PropagationError(
-                f"non-finite state at step {k} (t ~ {t0 + (k + 1) * dt:.6g})",
-                time=t0 + (k + 1) * dt, step_index=k)
+                f"non-finite state at step {step} "
+                f"(t ~ {t0 + (step + 1) * dt:.6g})",
+                time=t0 + (step + 1) * dt, step_index=step)
     if not np.all(np.isfinite(X)):
         raise PropagationError(f"non-finite state reached at t={t1:.6g}", time=t1)
     return X
@@ -163,8 +196,10 @@ def propagate(op, s, t, U0, forcing=None, h=1e-3):
 
 def table_bytes(m, n_nodes, audit=False):
     """Bytes a table of ``n_nodes`` nodes with 2m x 2m blocks needs at its
-    peak: the interval maps and bands, the row being made and the row it is
-    made from, and with ``audit`` every row of the grid held at once, as
+    peak: the interval maps and bands, plus the row being made and the row
+    it is made from, as :meth:`FundamentalSolution.row`, :func:`dump_fs`,
+    :func:`load_fs` and a fill whose overflow certificate fails hold them,
+    and with ``audit`` every row of the grid held at once, as
     :func:`check_axioms` and :func:`adjoint_defect` hold them."""
     blocks = 5 * n_nodes
     if audit:
@@ -220,11 +255,11 @@ class FundamentalSolution:
     recurrence reads, O(N m^2) numbers: ``blocks[i, d]`` is
     E(t_i, t_{i-1-d}) for d = 0, 1, 2, so ``blocks[i, 0]`` is Phi_i; the
     slots with i - 1 - d < 0 hold zeros.  Every other block is made on
-    demand by the products that filled the table: row i is Phi_i times
-    row i - 1, followed by Phi_i and the identity.  The last row made is
-    kept, so rows in ascending order cost one batched product each; a table
-    from :func:`fundamental_solution` or :func:`load_fs` starts with the
-    grid's last row, made by the fill, and one built through this
+    demand by the products that filled the table's bands: row i is Phi_i
+    times row i - 1, followed by Phi_i and the identity.  The last row made
+    is kept, so rows in ascending order cost one batched product each; a
+    table from :func:`load_fs` starts with the grid's last row, made while
+    the file was checked, and one from :func:`fundamental_solution` or this
     constructor with none.  The block bounds are computed on first use and
     kept, which is sound because the tables made by
     :func:`fundamental_solution` and :func:`load_fs` are read-only.
@@ -301,46 +336,73 @@ class FundamentalSolution:
         """max over t_i of int_0^t_i ||S(t_i,s)||_2 ds (the constant M_{2,T}).
 
         Exact 2-norms are taken only for the rows that can decide the
-        maximum.  The last row made, which after :func:`fundamental_solution`
-        and :func:`load_fs` is the grid's last row, is integrated exactly
-        first, as the floor.  One ascending sweep then carries the 2m x m
-        right halves Phi_i E(t_{i-1}, s_j)[:, m:] and integrates, for each
-        row, the upper bound min(||S||_F, sqrt(||S||_1 ||S||_inf)) of
-        ||S||_2.  Only a row whose upper integral times (1 + DUHAMEL_MARGIN)
-        exceeds the best exact integral so far gets its own, from the whole
-        row :meth:`row` makes; the margin covers the last-bit rounding by
-        which the half products and the norms differ from the SVDs of the
-        whole-row blocks.  The composite weights are positive, so a skipped
-        row's exact integral cannot exceed the best one, and the result is
-        the same float as the maximum over the exact integrals of every row.
+        maximum.  The floor is a lower bound on the last row's integral:
+        its S-blocks come from a backward product of top halves,
+        E(t_{N-1}, s_j)[:m] = E(t_{N-1}, s_{j+1})[:m] Phi_{j+1}, O(N m^3),
+        and each block's norm from below as the larger of its largest column
+        and row 2-norms, the integral scaled by (1 - FLOOR_SLACK) for the
+        rounding by which the backward products differ from the forward
+        ones.  One ascending sweep then carries the 2m x m right halves
+        Phi_i E(t_{i-1}, s_j)[:, m:] and integrates, for each row, the upper
+        bound min(||S||_F, sqrt(||S||_1 ||S||_inf)) of ||S||_2.  Only a row
+        whose upper integral times (1 + DUHAMEL_MARGIN) exceeds both the
+        floor and the best exact integral so far gets its own, from the
+        carried halves, which are the whole-row blocks of :meth:`row` bit
+        for bit; the margin covers the last-bit rounding of the norms.  The
+        composite weights are positive, so a skipped row's exact integral
+        cannot exceed the best one or the floor.  The result is the best
+        exact integral, never the floor; should it fall below the floor,
+        the sweep runs again without one.  So it is the same float as the
+        maximum over the exact integrals of every row.
         """
         if self._duhamel is None:
-            m, grid = self.m, self.time_grid
-
-            def exact(i, row):
-                vals = np.linalg.norm(row[:, :m, m:], 2, axis=(1, 2))
-                return float(quadrature.integrate(vals, grid[:i + 1]))
-
-            k, row = self._last
-            best = exact(k, row) if k else 0.0
-            half = self._eye[None, :, m:]
-            for i in range(1, self.n_nodes):
-                phi = self.blocks[i, 0]
-                prev, half = half, np.empty((i + 1, 2 * m, m))
-                np.matmul(phi, prev[:i - 1], out=half[:i - 1])
-                half[i - 1] = phi[:, m:]
-                half[i] = self._eye[:, m:]
-                if i == k:
-                    continue
-                s = np.abs(half[:, :m])
-                one, inf = s.sum(axis=1).max(axis=1), s.sum(axis=2).max(axis=1)
-                upper = np.minimum(np.sqrt(np.sum(s * s, axis=(1, 2))),
-                                   np.sqrt(one * inf))
-                bound = float(quadrature.integrate(upper, grid[:i + 1]))
-                if bound * (1.0 + DUHAMEL_MARGIN) > best:
-                    best = max(best, exact(i, self.row(i)))
+            floor = self._last_row_floor()
+            best = self._pruned_row_maximum(floor)
+            if best < floor:
+                best = self._pruned_row_maximum(0.0)
             self._duhamel = best
         return self._duhamel
+
+    def _last_row_floor(self):
+        """A lower bound on int_0^T ||S(t_{N-1}, s)||_2 ds, O(N m^3)."""
+        m, N = self.m, self.n_nodes
+        tops = np.empty((N, m, 2 * m))
+        tops[-1] = self._eye[:m]
+        for j in range(N - 2, -1, -1):
+            np.matmul(tops[j + 1], self.blocks[j + 1, 0], out=tops[j])
+        sq = tops[:, :, m:] ** 2
+        lower = np.sqrt(np.maximum(sq.sum(axis=1).max(axis=1),
+                                   sq.sum(axis=2).max(axis=1)))
+        return (1.0 - FLOOR_SLACK) * float(
+            quadrature.integrate(lower, self.time_grid))
+
+    def _pruned_row_maximum(self, floor):
+        """The largest exact row integral among the rows whose upper
+        integral beats ``floor`` and the best one before them (0.0 if
+        none does)."""
+        m, grid = self.m, self.time_grid
+        # at m = 1 numpy makes a 2 x 2 by 2 x 1 product on its gemv path,
+        # whose last bit can differ from the whole-row product's; whole
+        # rows are carried there
+        lo = 0 if m == 1 else m
+        best = 0.0
+        carried = self._eye[None, :, lo:]
+        for i in range(1, self.n_nodes):
+            phi = self.blocks[i, 0]
+            prev, carried = carried, np.empty((i + 1, 2 * m, 2 * m - lo))
+            np.matmul(phi, prev[:i - 1], out=carried[:i - 1])
+            carried[i - 1] = phi[:, lo:]
+            carried[i] = self._eye[:, lo:]
+            S = carried[:, :m, m - lo:]
+            s = np.abs(S)
+            one, inf = s.sum(axis=1).max(axis=1), s.sum(axis=2).max(axis=1)
+            upper = np.minimum(np.sqrt(np.sum(s * s, axis=(1, 2))),
+                               np.sqrt(one * inf))
+            bound = float(quadrature.integrate(upper, grid[:i + 1]))
+            if bound * (1.0 + DUHAMEL_MARGIN) > max(floor, best):
+                vals = np.linalg.norm(S, 2, axis=(1, 2))
+                best = max(best, float(quadrature.integrate(vals, grid[:i + 1])))
+        return best
 
     def first_column_bounds(self):
         """(M1, M2): the largest 2-norms of C(t_i, 0) and S(t_i, 0)."""
@@ -370,10 +432,15 @@ def fundamental_solution(op, grid, h=1e-3, validate=True):
     E(t_j, s_i) = Phi_j E(t_{j-1}, s_i) for i < j, with the exact identity
     on the diagonal.  Every pair is a product of the same interval maps, so
     the composition identity E(t,s) = E(t,r)E(r,s) holds by construction up
-    to matmul rounding.  Each row is made once here, to check that the
-    products stay finite, and only its bands are kept, apart from the last
-    row, which the table keeps as its cached row.  :func:`require_memory`
-    checks the table's size before anything is allocated.
+    to matmul rounding.  Only the maps and the two bands are made here, the
+    bands in the order in which :meth:`FundamentalSolution.row` makes them:
+    E(t_j, t_{j-2}) = Phi_j Phi_{j-1} and E(t_j, t_{j-3}) = Phi_j
+    E(t_{j-1}, t_{j-3}).  That no other block overflows is shown by
+    :func:`_log_growth_bound`, O(N m^2); only where that certificate fails
+    are the rows made, O(N^2 m^3), and the first one that is not finite
+    raises :class:`PropagationError` naming its interval.
+    :func:`require_memory` checks the table's size before anything is
+    allocated.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
@@ -383,26 +450,64 @@ def fundamental_solution(op, grid, h=1e-3, validate=True):
         validate_step(op, float(grid[-1]), h)
     n2 = 2 * op.dim
     N = grid.size
+    a0 = np.asarray(op.a_of_t(grid[0]))
     blocks = np.zeros((N, 3, n2, n2))
-    row = np.eye(n2)[None]
     for j in range(1, N):
-        where = (f"fundamental solution failed between nodes {j - 1} and {j} "
-                 f"(t in [{grid[j - 1]:.6g}, {grid[j]:.6g}])")
         try:
             phi = _transition(op, grid[j - 1], grid[j], h)
         except PropagationError as exc:
-            raise PropagationError(f"{where}: {exc}", time=exc.time) from exc
-        row = _next_row(phi, row)
+            # a row before interval j may overflow first
+            _check_rows(blocks[:j, 0], a0, grid)
+            raise PropagationError(f"{_where(grid, j)}: {exc}",
+                                   time=exc.time) from exc
+        blocks[j, 0] = phi
+        np.matmul(phi, blocks[j - 1, :2], out=blocks[j, 1:])
+    _check_rows(blocks[:, 0], a0, grid)
+    blocks.flags.writeable = False
+    return FundamentalSolution(grid, op.dim, op.kind, blocks, h)
+
+
+def _where(grid, j):
+    return (f"fundamental solution failed between nodes {j - 1} and {j} "
+            f"(t in [{grid[j - 1]:.6g}, {grid[j]:.6g}])")
+
+
+def _log_growth_bound(phis, a0):
+    """log of a bound on every entry of every product Phi_i ... Phi_{j+1}
+    of the interval maps ``phis`` and of every partial sum that a matmul
+    forms while making one.
+
+    With D = diag(sqrt(1 + |A(t_0)_kk|), 1), which weighs each
+    displacement like its velocity in the energy of its mode,
+    ||Phi_i ... Phi_{j+1}||_2 <= cond(D) prod_k max(1, ||D Phi_k D^-1||_2)
+    and ||X||_2 <= sqrt(||X||_1 ||X||_inf); the clamp at 1 keeps a
+    contractive map from shrinking the bound on a sub-product.  A matmul
+    Phi E sums 2m terms of at most max|Phi| max|E| each.  O(N m^2).
+    """
+    d = np.sqrt(1.0 + np.abs(np.diagonal(a0)))
+    d = np.concatenate([d, np.ones_like(d)])
+    mag = np.abs(phis)
+    scaled = mag * (d[:, None] / d)
+    norms = np.sqrt(scaled.sum(axis=-2).max(axis=-1)
+                    * scaled.sum(axis=-1).max(axis=-1))
+    return float(np.log(d.max()) + np.log(np.maximum(norms, 1.0)).sum()
+                 + np.log(d.size) + np.log(max(1.0, mag.max(initial=0.0))))
+
+
+def _check_rows(phis, a0, grid):
+    """Raise :class:`PropagationError` at the first row of the products of
+    ``phis[1:]`` (``phis[j]`` is Phi_j) with a block that is not finite.
+    The rows are made only when :func:`_log_growth_bound` cannot show
+    that all of them are finite."""
+    if _log_growth_bound(phis[1:], a0) < OVERFLOW_LOG_LIMIT:
+        return
+    row = np.eye(phis.shape[-1])[None]
+    for j in range(1, len(phis)):
+        row = _next_row(phis[j], row)
         if not np.all(np.isfinite(row[:j - 1])):
             raise PropagationError(
-                f"{where}: non-finite blocks reached at t={grid[j]:.6g}",
-                time=float(grid[j]))
-        band = _bands(row)
-        blocks[j, :len(band)] = band
-    blocks.flags.writeable = False
-    fs = FundamentalSolution(grid, op.dim, op.kind, blocks, h)
-    fs._last = (N - 1, row)
-    return fs
+                f"{_where(grid, j)}: non-finite blocks reached at "
+                f"t={grid[j]:.6g}", time=float(grid[j]))
 
 
 def _transition(op, t_from, t_to, h):

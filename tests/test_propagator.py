@@ -9,7 +9,8 @@ from scipy.integrate import solve_ivp
 import nonlocalwave as nlw
 from nonlocalwave import ConfigurationError
 from nonlocalwave import propagator
-from nonlocalwave.propagator import _bands, _next_row, _span
+from nonlocalwave.propagator import (_bands, _log_growth_bound, _next_row,
+                                     _span)
 
 
 def scalar_op(a, b=None):
@@ -160,7 +161,7 @@ def dense_row_integrals(fs):
             for i in range(1, fs.n_nodes)]
 
 
-@pytest.mark.parametrize("m", [1, 4])
+@pytest.mark.parametrize("m", [1, 2, 4, 16])
 @pytest.mark.parametrize("damped", [False, True])
 def test_rows_and_bounds_match_dense_table(rng, damped, m):
     op = _random_operator(rng, m, damped)
@@ -282,6 +283,178 @@ def test_duhamel_bound_takes_at_most_one_row_of_exact_norms(
     assert count[0] == fresh
 
 
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("name", ["population", "undamped_neumann"])
+def test_duhamel_bound_is_the_dense_tables_float(name, m):
+    # at m = 1 the sweep carries whole rows: 2 x 1 right halves would move
+    # M_{2,T} by 2 ulp on these 81-node tables
+    fs = nlw.realize(nlw.builtin_scenarios()[name], m=m).fs
+    assert fs.n_nodes == 81
+    assert fs.duhamel_bound() == max(dense_row_integrals(fs))
+
+
+def test_duhamel_bound_ignores_a_floor_above_every_row(monkeypatch):
+    # a floor above the maximum, as a backward product far off the forward
+    # one would give, must not be returned or prune the deciding row
+    fs = growing_stiffness_table(4, damped=False)
+    best = max(dense_row_integrals(fs))
+    monkeypatch.setattr(nlw.FundamentalSolution, "_last_row_floor",
+                        lambda self: 2.0 * best)
+    assert fs.duhamel_bound() == best
+
+
+@pytest.mark.parametrize("name", ["population", "undamped_neumann"])
+def test_cold_table_makes_no_row(monkeypatch, name):
+    def unreachable(phi, prev):
+        raise AssertionError("a row was made")
+    monkeypatch.setattr(propagator, "_next_row", unreachable)
+    fs = nlw.realize(nlw.builtin_scenarios()[name], m=32).fs
+    assert fs.blocks.shape == (81, 3, 64, 64)
+    assert np.all(np.isfinite(fs.blocks))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("family", ["undamped", "damped", "contractive"])
+def test_growth_bound_covers_every_block(seed, family):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 6))
+    n = int(rng.integers(4, 12))
+    if family == "contractive":
+        # overdamped modes on unit intervals
+        lam = np.diag(rng.uniform(2.0, 6.0, m))
+        damp = np.diag(rng.uniform(4.0, 8.0, m))
+        op = nlw.damped_operator(lambda t: lam, lambda t: damp, m)
+        grid = np.linspace(0.0, n - 1.0, n)
+    else:
+        op = _random_operator(rng, m, family == "damped")
+        grid = np.linspace(0.0, rng.uniform(1.0, 4.0), n)
+    fs = nlw.fundamental_solution(op, grid, h=1e-2)
+    phis, a0 = fs.blocks[1:, 0], op.a_of_t(grid[0])
+    bound = _log_growth_bound(phis, a0)
+    assert bound < propagator.OVERFLOW_LOG_LIMIT
+    blocks, _ = dense_rows(fs)
+    assert np.all(np.isfinite(blocks))
+    assert np.abs(blocks).max() <= np.exp(bound)
+    # the bound on all maps covers every run of them, each block's factors
+    for i in range(len(phis)):
+        for j in range(i + 1, len(phis) + 1):
+            assert _log_growth_bound(phis[i:j], a0) <= bound
+    if family == "contractive":
+        # maps that shrink in D's norm, which the clamp at 1 keeps from
+        # lowering the bound on the runs they are not part of
+        d = np.sqrt(1.0 + np.abs(np.diag(a0)))
+        d = np.concatenate([d, np.ones(m)])
+        scaled = np.linalg.norm(phis * (d[:, None] / d), 2, axis=(1, 2))
+        assert scaled.min() < 1.0
+
+
+def test_failed_certificate_sweeps_the_rows_and_keeps_the_bands(monkeypatch):
+    # u'' = 1e4 u on [0, 4]: the blocks grow to about e^400, past the
+    # certificate's limit but finite
+    op = scalar_op(-1e4)
+    grid = np.linspace(0.0, 4.0, 9)
+    made = [0]
+    next_row = propagator._next_row
+
+    def counting(phi, prev):
+        made[0] += 1
+        return next_row(phi, prev)
+    monkeypatch.setattr(propagator, "_next_row", counting)
+    fs = nlw.fundamental_solution(op, grid, h=1e-3)
+    assert made[0] == grid.size - 1
+    assert _log_growth_bound(fs.blocks[1:, 0], op.a_of_t(0.0)) \
+        > propagator.OVERFLOW_LOG_LIMIT
+    blocks, ref = dense_rows(fs)
+    assert np.all(np.isfinite(blocks)) and np.abs(blocks).max() > 1e150
+    for i, row in enumerate(ref):
+        band = _bands(row)
+        np.testing.assert_array_equal(fs.blocks[i, :len(band)], band)
+
+
+def reference_span(op, t0, t1, X, h, forcing=None, check_every_step=True):
+    """The out-of-place RK4 substep loop that ``_span`` replaced."""
+    if t1 == t0:
+        return X
+    n = max(1, int(np.ceil(abs(t1 - t0) / h - 1e-12)))
+    dt = (t1 - t0) / n
+    m = op.dim
+
+    def mats(t):
+        A = np.asarray(op.a_of_t(t))
+        B = None if op.b_of_t is None else np.asarray(op.b_of_t(t))
+        return A, B
+
+    def rhs(A, B, X, t):
+        bottom = -(A @ X[:m])
+        if B is not None:
+            bottom = bottom - B @ X[m:]
+        if forcing is not None:
+            f = forcing(t)
+            bottom = bottom + (f if X.ndim == 1 else f[:, None])
+        return np.concatenate([X[m:], bottom], axis=0)
+
+    t_end = end = None
+    for k in range(n):
+        t = t0 + k * dt
+        A0, B0 = end if t == t_end else mats(t)
+        Am, Bm = mats(t + 0.5 * dt)
+        t_end, end = t + dt, mats(t + dt)
+        A1, B1 = end
+        k1 = rhs(A0, B0, X, t)
+        k2 = rhs(Am, Bm, X + (0.5 * dt) * k1, t + 0.5 * dt)
+        k3 = rhs(Am, Bm, X + (0.5 * dt) * k2, t + 0.5 * dt)
+        k4 = rhs(A1, B1, X + dt * k3, t + dt)
+        X = X + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if check_every_step and not np.all(np.isfinite(X)):
+            raise nlw.PropagationError(
+                f"non-finite state at step {k} (t ~ {t0 + (k + 1) * dt:.6g})",
+                time=t0 + (k + 1) * dt, step_index=k)
+    if not np.all(np.isfinite(X)):
+        raise nlw.PropagationError(f"non-finite state reached at t={t1:.6g}",
+                                   time=t1)
+    return X
+
+
+@pytest.mark.parametrize("damped", [False, True])
+@pytest.mark.parametrize("width", [None, 1, 3, 8])
+@pytest.mark.parametrize("case", ["plain", "forced", "complex",
+                                  "complex-forcing", "backward"])
+def test_span_matches_the_out_of_place_loop(rng, damped, width, case):
+    m = 4
+    op = _random_operator(rng, m, damped)
+    shape = (2 * m,) if width is None else (2 * m, width)
+    X = rng.standard_normal(shape)
+    if case == "complex":
+        X = X + 1j * rng.standard_normal(shape)
+    amp = rng.standard_normal(m)
+    if case == "complex-forcing":
+        amp = amp + 1j * rng.standard_normal(m)
+    forcing = (lambda t: amp * np.cos(3.0 * t)) if "forc" in case else None
+    t0, t1 = (0.9, 0.2) if case == "backward" else (0.2, 0.9)
+    before = X.copy()
+    got = _span(op, t0, t1, X, 0.013, forcing=forcing)
+    want = reference_span(op, t0, t1, X, 0.013, forcing=forcing)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(X, before)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("check_every_step", [True, False])
+def test_span_blowup_error_is_unchanged(check_every_step):
+    op = scalar_op(-1e4)
+    X = np.array([1e300, 1e300])
+    errors = []
+    for span in (_span, reference_span):
+        with pytest.raises(nlw.PropagationError) as exc:
+            span(op, 0.0, 1.0, X, 0.01, check_every_step=check_every_step)
+        errors.append(exc.value)
+    got, want = errors
+    assert str(got) == str(want)
+    assert (got.step_index, got.time) == (want.step_index, want.time)
+    assert (got.step_index is None) == (not check_every_step)
+
+
 def test_table_bytes_counts_bands_working_rows_and_audit_rows():
     block = 8 * 64 ** 2
     assert propagator.table_bytes(32, 81) == 5 * 81 * block
@@ -340,6 +513,13 @@ def test_tabulation_blowup_raises_propagation_error():
     with pytest.raises(nlw.PropagationError, match="between nodes 0 and 1"):
         nlw.fundamental_solution(scalar_op(-1e6), np.linspace(0.0, 2.0, 3),
                                  h=1e-3)
+    # the last interval's own map overflows too, but the row of interval
+    # 7-8 overflows first and is the one named
+    with pytest.raises(nlw.PropagationError,
+                       match="between nodes 7 and 8 .*non-finite blocks"):
+        nlw.fundamental_solution(
+            scalar_op(lambda t: -1e4 if t < 8.5 else -1e6),
+            np.linspace(0.0, 10.0, 11), h=1e-3)
 
 
 def test_axiom_report_autonomous_diagonal(diag_fs, diag_operator):
