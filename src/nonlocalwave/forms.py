@@ -92,8 +92,8 @@ class FormSpec:
     horizon: float
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ConfigurationError("form horizon must be positive")
+        if not (np.isfinite(self.horizon) and self.horizon > 0):
+            raise ConfigurationError("form horizon must be finite and positive")
 
     @property
     def damped(self):

@@ -10,10 +10,11 @@ tabulated on a time grid; its quadrants are C(t,s), S(t,s), dC(t,s), dS(t,s)
 for the undamped family and v1..v4 for the damped one, read through the
 same C/S/dC/dS accessors.  The integrator is
 linear in the state, so each grid interval has one transition map Phi_j,
-obtained by integrating an identity block across it, and every block
-is a product of these maps, E(t_i, s_j) = Phi_i ... Phi_{j+1}.  The
-composition identity E(t,s) = E(t,r)E(r,s) thus holds by construction up to
-matmul rounding, and the axiom checks measure genuine integrator defects.
+obtained by integrating an identity block across it.  The table stores
+these maps and nothing else; every other block is a product of them,
+E(t_i, s_j) = Phi_i ... Phi_{j+1}.  The composition identity
+E(t,s) = E(t,r)E(r,s) thus holds by construction up to matmul rounding, and
+the axiom checks measure genuine integrator defects.
 
 The integrator is the classical explicit fourth-order one-step method with
 the matrix evaluated at the stage times; the step is fixed and validated
@@ -92,8 +93,8 @@ def spectral_frequency(op, horizon):
 
 
 def validate_step(op, horizon, h):
-    if h <= 0:
-        raise ConfigurationError("step size h must be positive")
+    """Reject a step above the stability budget; :func:`_span` rejects
+    one that is not finite and positive."""
     freq = spectral_frequency(op, horizon)
     if freq * h > STABILITY_LIMIT:
         raise ConfigurationError(
@@ -112,8 +113,14 @@ def _span(op, t0, t1, X, h, forcing=None, check_every_step=True):
     are written into buffers made once per call, the caller's ``X`` is not
     written, and -A(t), -B(t) are formed once per stage time:
     (-A) @ x is -(A @ x) bit for bit, so the result is the one of the
-    out-of-place expression X + dt/6 (k1 + 2 k2 + 2 k3 + k4).
+    out-of-place expression X + dt/6 (k1 + 2 k2 + 2 k3 + k4).  A step that
+    is not finite and positive, or an end that is not finite, raises
+    :class:`ConfigurationError`.
     """
+    if not (np.isfinite(h) and h > 0 and np.isfinite(t0) and np.isfinite(t1)):
+        raise ConfigurationError(
+            f"need a finite positive step and finite ends, got h={h!r} "
+            f"from t={t0!r} to t={t1!r}")
     if t1 == t0:
         return X
     n = max(1, int(np.ceil(abs(t1 - t0) / h - 1e-12)))
@@ -185,7 +192,7 @@ def propagate(op, s, t, U0, forcing=None, h=1e-3):
     ``U0`` has shape (2m,) or (2m, k); ``forcing`` maps t to the second-block
     vector f(t).  Accuracy is O(h^4) for smooth coefficients.
     """
-    if t < s:
+    if not s <= t:
         raise ConfigurationError("propagate requires s <= t")
     U0 = np.array(U0, dtype=np.result_type(np.asarray(U0).dtype, float))
     if U0.shape[0] != 2 * op.dim:
@@ -196,12 +203,12 @@ def propagate(op, s, t, U0, forcing=None, h=1e-3):
 
 def table_bytes(m, n_nodes, audit=False):
     """Bytes a table of ``n_nodes`` nodes with 2m x 2m blocks needs at its
-    peak: the interval maps and bands, plus the row being made and the row
-    it is made from, as :meth:`FundamentalSolution.row`, :func:`dump_fs`,
+    peak: the interval maps, plus the row being made and the row it is made
+    from, as :meth:`FundamentalSolution.row`, :func:`dump_fs`,
     :func:`load_fs` and a fill whose overflow certificate fails hold them,
     and with ``audit`` every row of the grid held at once, as
     :func:`check_axioms` and :func:`adjoint_defect` hold them."""
-    blocks = 5 * n_nodes
+    blocks = 3 * n_nodes
     if audit:
         blocks += n_nodes * (n_nodes + 1) // 2
     return blocks * 8 * (2 * m) ** 2
@@ -251,25 +258,21 @@ class FundamentalSolution:
     ones they are (v1, v2; v3, v4).  Both are read through the C/S/dC/dS
     accessors, since they enter the representation formulas identically.
 
-    The table stores the interval maps and the two bands the Duhamel
-    recurrence reads, O(N m^2) numbers: ``blocks[i, d]`` is
-    E(t_i, t_{i-1-d}) for d = 0, 1, 2, so ``blocks[i, 0]`` is Phi_i; the
-    slots with i - 1 - d < 0 hold zeros.  Every other block is made on
-    demand by the products that filled the table's bands: row i is Phi_i
+    The table stores only the interval maps, O(N m^2) numbers:
+    ``blocks[i]`` is Phi_i = E(t_i, t_{i-1}), and ``blocks[0]`` is an
+    unused zero slot.  Every other block is made on demand: row i is Phi_i
     times row i - 1, followed by Phi_i and the identity.  The last row made
-    is kept, so rows in ascending order cost one batched product each; a
-    table from :func:`load_fs` starts with the grid's last row, made while
-    the file was checked, and one from :func:`fundamental_solution` or this
-    constructor with none.  The block bounds are computed on first use and
-    kept, which is sound because the tables made by
-    :func:`fundamental_solution` and :func:`load_fs` are read-only.
+    is kept, so rows in ascending order cost one batched product each.  The
+    block bounds are computed on first use and kept, which is sound because
+    the tables made by :func:`fundamental_solution` and :func:`load_fs` are
+    read-only.
     """
 
     def __init__(self, time_grid, m, kind, blocks, h):
         self.time_grid = np.asarray(time_grid, dtype=float)
         self.m = m
         self.kind = kind
-        self.blocks = blocks      # (N, 3, 2m, 2m), E(t_i, t_{i-1-d}) at [i, d]
+        self.blocks = blocks      # (N, 2m, 2m), Phi_i at [i]
         self.h = h
         self._eye = np.eye(2 * m)
         self._eye.flags.writeable = False
@@ -287,8 +290,8 @@ class FundamentalSolution:
                 f"no block ({i}, {j}): need 0 <= j <= i < {self.n_nodes}")
         if i == j:
             return self._eye
-        if i - j <= 3:
-            return self.blocks[i, i - 1 - j]
+        if i - j == 1:
+            return self.blocks[i]
         return self.row(i)[j]
 
     def C(self, i, j):
@@ -305,17 +308,20 @@ class FundamentalSolution:
 
     def node_index(self, t):
         i = int(np.argmin(np.abs(self.time_grid - t)))
-        if abs(self.time_grid[i] - t) > NODE_TOL:
+        if not abs(self.time_grid[i] - t) <= NODE_TOL:
             raise ConfigurationError(f"time {t!r} is not a grid node")
         return i
 
     def row(self, i):
         """All blocks E(t_i, s_j), j = 0..i, as a read-only array of its own."""
+        if not 0 <= i < self.n_nodes:
+            raise ConfigurationError(
+                f"no row {i}: need 0 <= i < {self.n_nodes}")
         k, row = self._last
         if k > i:
             k, row = 0, self._eye[None]
         for j in range(k + 1, i + 1):
-            row = _next_row(self.blocks[j, 0], row)
+            row = _next_row(self.blocks[j], row)
         self._last = (i, row)
         return row
 
@@ -369,7 +375,7 @@ class FundamentalSolution:
         tops = np.empty((N, m, 2 * m))
         tops[-1] = self._eye[:m]
         for j in range(N - 2, -1, -1):
-            np.matmul(tops[j + 1], self.blocks[j + 1, 0], out=tops[j])
+            np.matmul(tops[j + 1], self.blocks[j + 1], out=tops[j])
         sq = tops[:, :, m:] ** 2
         lower = np.sqrt(np.maximum(sq.sum(axis=1).max(axis=1),
                                    sq.sum(axis=2).max(axis=1)))
@@ -388,7 +394,7 @@ class FundamentalSolution:
         best = 0.0
         carried = self._eye[None, :, lo:]
         for i in range(1, self.n_nodes):
-            phi = self.blocks[i, 0]
+            phi = self.blocks[i]
             prev, carried = carried, np.empty((i + 1, 2 * m, 2 * m - lo))
             np.matmul(phi, prev[:i - 1], out=carried[:i - 1])
             carried[i - 1] = phi[:, lo:]
@@ -408,9 +414,9 @@ class FundamentalSolution:
         """(M1, M2): the largest 2-norms of C(t_i, 0) and S(t_i, 0)."""
         if self._first_column is None:
             m = self.m
-            first = [self._eye, self.blocks[1, 0]]
+            first = [self._eye, self.blocks[1]]
             for i in range(2, self.n_nodes):
-                first.append(self.blocks[i, 0] @ first[-1])
+                first.append(self.blocks[i] @ first[-1])
             first = np.array(first)
             self._first_column = tuple(
                 float(np.linalg.norm(first[:, : m, c], 2, axis=(1, 2)).max())
@@ -418,13 +424,7 @@ class FundamentalSolution:
         return self._first_column
 
 
-def _bands(row):
-    """The band blocks E(t_i, t_{i-1-d}), d = 0, 1, 2, of row i."""
-    i = len(row) - 1
-    return row[max(i - 3, 0):i][::-1]
-
-
-def fundamental_solution(op, grid, h=1e-3, validate=True):
+def fundamental_solution(op, grid, h=1e-3):
     """Tabulate E(t_i, s_j) on all grid pairs by composing interval maps.
 
     Interval j is integrated once, on a 2m x 2m identity, giving its RK4
@@ -432,37 +432,34 @@ def fundamental_solution(op, grid, h=1e-3, validate=True):
     E(t_j, s_i) = Phi_j E(t_{j-1}, s_i) for i < j, with the exact identity
     on the diagonal.  Every pair is a product of the same interval maps, so
     the composition identity E(t,s) = E(t,r)E(r,s) holds by construction up
-    to matmul rounding.  Only the maps and the two bands are made here, the
-    bands in the order in which :meth:`FundamentalSolution.row` makes them:
-    E(t_j, t_{j-2}) = Phi_j Phi_{j-1} and E(t_j, t_{j-3}) = Phi_j
-    E(t_{j-1}, t_{j-3}).  That no other block overflows is shown by
-    :func:`_log_growth_bound`, O(N m^2); only where that certificate fails
-    are the rows made, O(N^2 m^3), and the first one that is not finite
-    raises :class:`PropagationError` naming its interval.
+    to matmul rounding.  Only the maps are made here.  That no product of
+    them overflows is shown by :func:`_log_growth_bound`, O(N m^2); only
+    where that certificate fails are the rows made, O(N^2 m^3), and the
+    first one that is not finite raises :class:`PropagationError` naming
+    its interval.
     :func:`require_memory` checks the table's size before anything is
     allocated.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
-        raise ConfigurationError("grid must be strictly increasing with >= 2 nodes")
+    if not (grid.ndim == 1 and grid.size >= 2 and np.all(np.isfinite(grid))
+            and np.all(np.diff(grid) > 0)):
+        raise ConfigurationError(
+            "grid must be finite and strictly increasing with >= 2 nodes")
     require_memory(op.dim, grid.size)
-    if validate:
-        validate_step(op, float(grid[-1]), h)
+    validate_step(op, float(grid[-1]), h)
     n2 = 2 * op.dim
     N = grid.size
     a0 = np.asarray(op.a_of_t(grid[0]))
-    blocks = np.zeros((N, 3, n2, n2))
+    blocks = np.zeros((N, n2, n2))
     for j in range(1, N):
         try:
-            phi = _transition(op, grid[j - 1], grid[j], h)
+            blocks[j] = _transition(op, grid[j - 1], grid[j], h)
         except PropagationError as exc:
             # a row before interval j may overflow first
-            _check_rows(blocks[:j, 0], a0, grid)
+            _check_rows(blocks[:j], a0, grid)
             raise PropagationError(f"{_where(grid, j)}: {exc}",
                                    time=exc.time) from exc
-        blocks[j, 0] = phi
-        np.matmul(phi, blocks[j - 1, :2], out=blocks[j, 1:])
-    _check_rows(blocks[:, 0], a0, grid)
+    _check_rows(blocks, a0, grid)
     blocks.flags.writeable = False
     return FundamentalSolution(grid, op.dim, op.kind, blocks, h)
 
@@ -689,7 +686,7 @@ def adjoint_check(fs, op):
     substep and measure the defect."""
     T = float(fs.time_grid[-1])
     fs_r = fundamental_solution(reversed_operator(op, T), fs.time_grid,
-                                h=fs.h, validate=False)
+                                h=fs.h)
     return adjoint_defect(fs, fs_r)
 
 
@@ -712,12 +709,12 @@ def dump_fs(fs, path):
 def load_fs(path):
     """Read a :func:`dump_fs` file, one row at a time.
 
-    The table keeps the file's interval maps and bands, and as its cached
-    row the last of its own products.  Every row of the file, the diagonal
-    included, must equal the table's own product of its interval maps to
-    within ``LOAD_TOL`` times the row's largest entry; otherwise the file is
-    rejected with :class:`ConfigurationError`, as it is when the header
-    names a table above :func:`memory_budget`.
+    The table keeps the file's interval maps, ``row[i - 1]`` of each row i.
+    Every row of the file, the diagonal included, must equal the table's
+    own product of its interval maps to within ``LOAD_TOL`` times the row's
+    largest entry; otherwise the file is rejected with
+    :class:`ConfigurationError`, as it is when the header names a table
+    above :func:`memory_budget`.
     """
     off = len(_MAGIC) + struct.calcsize("<BIId")
     with open(path, "rb") as fh:
@@ -740,22 +737,19 @@ def load_fs(path):
         if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
             raise ConfigurationError(
                 f"{path} holds a grid that is not finite and increasing")
-        blocks = np.zeros((n, 3, 2 * m, 2 * m))
+        blocks = np.zeros((n, 2 * m, 2 * m))
         own = np.eye(2 * m)[None]
         for i in range(n):
             row = np.fromfile(fh, dtype="<f8", count=(i + 1) * 4 * m * m)
             row = row.reshape(i + 1, 2 * m, 2 * m)
             if i:
-                own = _next_row(row[i - 1], own)
+                blocks[i] = row[i - 1]
+                own = _next_row(blocks[i], own)
             with np.errstate(invalid="ignore", over="ignore"):
                 sound = np.abs(row - own).max() <= LOAD_TOL * np.abs(row).max()
             if not sound:
                 raise ConfigurationError(
                     f"{path}: row {i} is not the product of its interval maps")
-            band = _bands(row)
-            blocks[i, :len(band)] = band
     blocks.flags.writeable = False
-    fs = FundamentalSolution(grid, m, "damped" if kind_b else "undamped",
-                             blocks, h)
-    fs._last = (n - 1, own)
-    return fs
+    return FundamentalSolution(grid, m, "damped" if kind_b else "undamped",
+                               blocks, h)

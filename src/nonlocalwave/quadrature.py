@@ -23,7 +23,7 @@ def require_uniform(x):
     if x.ndim != 1 or x.size < 2:
         raise ConfigurationError("grid must contain at least two nodes")
     steps = np.diff(x)
-    if np.any(steps <= 0):
+    if not np.all(steps > 0):
         raise ConfigurationError("grid must be strictly increasing")
     h = steps.mean()
     if np.max(np.abs(steps - h)) > UNIFORM_TOL * max(1.0, abs(h)):

@@ -202,8 +202,10 @@ class Trajectory:
         self.v = np.asarray(self.v)
         if self.u.shape != self.v.shape or self.u.shape[0] != self.grid.size:
             raise ConfigurationError("trajectory arrays do not match the grid")
-        if self.grid.size > 1 and np.any(np.diff(self.grid) <= 0):
-            raise ConfigurationError("trajectory grid must be strictly increasing")
+        if not (np.all(np.isfinite(self.grid))
+                and np.all(np.diff(self.grid) > 0)):
+            raise ConfigurationError(
+                "trajectory grid must be finite and strictly increasing")
 
     @property
     def m(self):

@@ -8,11 +8,11 @@ The representation path evaluates
 (with v1, v2 for damped problems) on the fundamental-solution grid as a
 recurrence over the interval maps Phi_i = E(t_i, t_{i-1}): the homogeneous
 state and a composite-Simpson accumulator are advanced one interval at a
-time, so one evaluation costs O(N m^2) and reads only the blocks E(t_i, t_j)
-with i - j <= 3.  Velocities come from the derivative blocks, never from
-differencing the u-track.  The oracle path integrates the full inhomogeneous
-block system with the same one-step method but no tables, giving an
-independent cross-check.
+time, so one evaluation costs O(N m^2) and reads only the interval maps.
+Velocities come from the derivative blocks, never from differencing the
+u-track.  The oracle path integrates the full inhomogeneous block system
+with the same one-step method but no tables, giving an independent
+cross-check.
 """
 
 from __future__ import annotations
@@ -45,13 +45,13 @@ class LinearProblem:
         self.u1 = np.asarray(self.u1, dtype=dt)
         if self.u0.shape != (self.op.dim,) or self.u1.shape != (self.op.dim,):
             raise ConfigurationError("initial data do not match the operator dim")
-        if self.horizon <= 0:
-            raise ConfigurationError("horizon must be positive")
+        if not (np.isfinite(self.horizon) and self.horizon > 0):
+            raise ConfigurationError("horizon must be finite and positive")
 
 
 def _grid_indices(fs, grid):
     grid = np.asarray(grid, dtype=float)
-    if np.any(np.diff(grid) <= 0):
+    if not np.all(np.diff(grid) > 0):
         raise ConfigurationError("output grid must be strictly increasing")
     try:
         return grid, [fs.node_index(t) for t in grid]
@@ -99,18 +99,20 @@ def representation(fs, op, x0, y0, F, start=0, stop=None, u=None, v=None):
 
     * k = 1: the endpoint-corrected startup rule for u, a trapezoid for v;
     * even k: Simpson, (h/3)(acc_i - Z_i);
-    * odd k >= 3: Simpson up to t_{i-3}, carried by E(t_i, t_{i-3}), then
-      one closing 3/8 panel on the last three intervals.
+    * odd k >= 3: Simpson up to t_{i-3} and one closing 3/8 panel on the
+      last three intervals, both carried to t_i by the nested maps
+      Phi_i (Phi_{i-1} (Phi_{i-2} y + c Z_{i-2}) + c Z_{i-1}) + (3h/8) Z_i
+      with c = 9h/8 and y the Simpson sum at t_{i-3} plus (3h/8) Z_{i-3}.
 
     The node loop advances only the two chains X and acc, two (2m x 2m)
     mat-vecs per node with Phi_i read from ``fs.blocks``; the Simpson
-    terms, the closing panels (stacked mat-vecs over the bands of the odd
-    nodes) and the u/v split are then whole-window array passes.  Only the
-    blocks E(t_i, t_j) with i - j <= 3 are read, and the result is the same
-    floats as one 2-D mat-vec per block and node.  A forced window must be
-    uniform.  Rows of ``u`` and ``v`` outside start..stop are left
-    untouched.  The table must be of ``op``'s kind, since the startup rule
-    reads B(t) from the operator.
+    terms, the closing panels (three stacked mat-vecs over the maps of the
+    odd nodes) and the u/v split are then whole-window array passes.  Only
+    ``fs.blocks`` is read, apart from the startup rule's E(t_{a+1}, t_a),
+    and the result is the same floats as one 2-D mat-vec per map and node.
+    A forced window must be uniform.  Rows of ``u`` and ``v`` outside
+    start..stop are left untouched.  The table must be of ``op``'s kind,
+    since the startup rule reads B(t) from the operator.
     """
     if op.kind != fs.kind:
         raise ConfigurationError(
@@ -125,7 +127,7 @@ def representation(fs, op, x0, y0, F, start=0, stop=None, u=None, v=None):
         dt = np.result_type(x0, y0, float if F is None else F)
         u = np.empty((grid.size, m), dtype=dt)
         v = np.empty((grid.size, m), dtype=dt)
-    phi = fs.blocks[a:b + 1]      # phi[k, d] = E(t_{a+k}, t_{a+k-1-d})
+    phi = fs.blocks[a:b + 1]      # phi[k] = Phi_{a+k}
     X0 = np.concatenate([x0, y0])
     u[a], v[a] = X0[:m], X0[m:]
     X = np.empty((K + 1, 2 * m), dtype=np.result_type(X0, float))
@@ -138,22 +140,22 @@ def representation(fs, op, x0, y0, F, start=0, stop=None, u=None, v=None):
         acc = np.empty_like(Z)
         acc[0] = Z[0]
     for k in range(1, K + 1):
-        X[k] = phi[k, 0] @ X[k - 1]
+        X[k] = phi[k] @ X[k - 1]
         if forced:
-            acc[k] = phi[k, 0] @ acc[k - 1] + (4.0 if k % 2 else 2.0) * Z[k]
+            acc[k] = phi[k] @ acc[k - 1] + (4.0 if k % 2 else 2.0) * Z[k]
     if forced:
         duh = np.empty_like(Z)
-        duh[1] = 0.5 * h * (phi[1, 0] @ Z[0] + Z[1])
+        duh[1] = 0.5 * h * (phi[1] @ Z[0] + Z[1])
         duh[1, :m] = single_interval_duhamel(fs, op, a + 1, a, F, h)
         duh[2::2] = h / 3.0 * (acc[2::2] - Z[2::2])
-        # odd k >= 3: slice c picks k - 3 + c for k = 3, 5, .., K
+        # odd k >= 3: slice d picks k - 3 + d for k = 3, 5, .., K
         n = max(K - 1, 0) // 2
-        k3, k2, k1, k0 = (slice(c, c + 2 * n, 2) for c in range(4))
+        k3, k2, k1, k0 = (slice(d, d + 2 * n, 2) for d in range(4))
+        c = 9.0 * h / 8.0
         y = h / 3.0 * (acc[k3] - Z[k3]) + 3.0 * h / 8.0 * Z[k3]
-        duh[k0] = (_mv(phi[k0, 2], y)
-                   + 9.0 * h / 8.0 * (_mv(phi[k0, 1], Z[k2])
-                                      + _mv(phi[k0, 0], Z[k1]))
-                   + 3.0 * h / 8.0 * Z[k0])
+        y = _mv(phi[k2], y) + c * Z[k2]
+        y = _mv(phi[k1], y) + c * Z[k1]
+        duh[k0] = _mv(phi[k0], y) + 3.0 * h / 8.0 * Z[k0]
     tail = X[1:] + duh[1:] if forced else X[1:]
     u[a + 1:b + 1], v[a + 1:b + 1] = tail[:, :m], tail[:, m:]
     return u, v
@@ -179,8 +181,8 @@ def direct_integrate(p, h, grid=None):
     tables, but applied to the forced state directly: no table is read, so
     the oracle stays independent of the representation formula.
     """
-    if h <= 0:
-        raise ConfigurationError("step h must be positive")
+    if not (np.isfinite(h) and h > 0):
+        raise ConfigurationError("step h must be finite and positive")
     if grid is None:
         n = max(1, int(np.ceil(p.horizon / h - 1e-12)))
         grid = np.linspace(0.0, p.horizon, n + 1)

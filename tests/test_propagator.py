@@ -9,8 +9,7 @@ from scipy.integrate import solve_ivp
 import nonlocalwave as nlw
 from nonlocalwave import ConfigurationError
 from nonlocalwave import propagator
-from nonlocalwave.propagator import (_bands, _log_growth_bound, _next_row,
-                                     _span)
+from nonlocalwave.propagator import _log_growth_bound, _next_row, _span
 
 
 def scalar_op(a, b=None):
@@ -168,8 +167,8 @@ def test_rows_and_bounds_match_dense_table(rng, damped, m):
     fs = nlw.fundamental_solution(op, np.linspace(0.0, 1.2, 10), h=1e-2)
     N, n2 = fs.n_nodes, 2 * m
     blocks, ref = dense_rows(fs)
-    assert fs.blocks.shape == (N, 3, n2, n2)
-    assert fs.blocks.nbytes == 3 * N * n2 ** 2 * 8
+    assert fs.blocks.shape == (N, n2, n2)
+    assert fs.blocks.nbytes == N * n2 ** 2 * 8
     rows = [fs.row(i) for i in range(N)]
     for i in list(range(N)) + list(rng.permutation(N)):
         np.testing.assert_array_equal(fs.row(i), ref[i])
@@ -191,6 +190,65 @@ def test_rows_and_bounds_match_dense_table(rng, damped, m):
     assert fs.sup_norms()["S"] == float(norms.max())
 
 
+def test_row_rejects_an_index_outside_the_grid():
+    fs = nlw.fundamental_solution(scalar_op(1.0), np.linspace(0.0, 1.0, 6),
+                                  h=1e-2)
+    _, ref = dense_rows(fs)
+    for i in (-1, fs.n_nodes):
+        with pytest.raises(ConfigurationError, match="need 0 <= i < 6"):
+            fs.row(i)
+    # a rejected index leaves the kept row alone
+    np.testing.assert_array_equal(fs.row(3), ref[3])
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _unit_setup():
+    op = scalar_op(1.0)
+    fs = nlw.fundamental_solution(op, np.linspace(0.0, 1.0, 5), h=1e-2)
+    p = nlw.LinearProblem(op, np.ones(1), np.zeros(1),
+                          lambda t: np.array([np.cos(t)]), 1.0)
+    return op, fs, p
+
+
+@pytest.mark.parametrize("call", [
+    lambda op, fs, p: nlw.propagate(op, 0.0, 1.0, np.ones(2), h=-1.0),
+    lambda op, fs, p: nlw.propagate(op, 0.0, 1.0, np.ones(2), h=0.0),
+    lambda op, fs, p: nlw.propagate(op, 0.0, 1.0, np.ones(2), h=NAN),
+    lambda op, fs, p: nlw.propagate(op, 0.0, 1.0, np.ones(2), h=INF),
+    lambda op, fs, p: nlw.propagate(op, 0.0, NAN, np.ones(2)),
+    lambda op, fs, p: nlw.propagate(op, -INF, 0.0, np.ones(2)),
+    lambda op, fs, p: _span(op, 0.0, INF, np.ones(2), 1e-2),
+    lambda op, fs, p: nlw.direct_integrate(p, NAN),
+    lambda op, fs, p: nlw.direct_integrate(p, 0.0),
+    lambda op, fs, p: nlw.fundamental_solution(op, [0.0, NAN, 1.0]),
+    lambda op, fs, p: nlw.fundamental_solution(op, [0.0, 0.5, INF]),
+    lambda op, fs, p: nlw.fundamental_solution(op, [0.0, 1.0], h=NAN),
+    lambda op, fs, p: nlw.fundamental_solution(op, [0.0, 1.0], h=-1.0),
+    lambda op, fs, p: nlw.check_axioms(fs, op, fd_delta=NAN),
+    lambda op, fs, p: fs.node_index(NAN),
+    lambda op, fs, p: nlw.solve(p, fs, [0.0, NAN]),
+    lambda op, fs, p: nlw.Trajectory([NAN], np.zeros((1, 1)),
+                                     np.zeros((1, 1))),
+    lambda op, fs, p: nlw.Trajectory([0.0, NAN], np.zeros((2, 1)),
+                                     np.zeros((2, 1))),
+    lambda op, fs, p: nlw.LinearProblem(op, np.ones(1), np.ones(1), None,
+                                        NAN),
+    lambda op, fs, p: nlw.LinearProblem(op, np.ones(1), np.ones(1), None,
+                                        INF),
+], ids=["propagate-h-negative", "propagate-h-zero", "propagate-h-nan",
+        "propagate-h-inf", "propagate-t-nan", "propagate-s-inf",
+        "span-t-inf", "direct-h-nan", "direct-h-zero", "table-grid-nan",
+        "table-grid-inf", "table-h-nan", "table-h-negative", "axioms-delta-nan",
+        "node-index-nan", "solve-grid-nan", "trajectory-one-nan-node",
+        "trajectory-grid-nan", "problem-horizon-nan", "problem-horizon-inf"])
+def test_non_finite_and_non_positive_steps_and_times_are_rejected(call):
+    op, fs, p = _unit_setup()
+    with pytest.raises(ConfigurationError):
+        call(op, fs, p)
+
+
 def growing_stiffness_table(m, damped):
     """a(t) = lam e^{3t}: the row integrals of ||S|| peak at row 9 of 12."""
     lam = np.diag(np.linspace(1.0, 3.0, m))
@@ -204,12 +262,8 @@ def table_from_maps(grid, maps):
     """An undamped-kind table on ``grid`` whose interval maps are ``maps``,
     built through the constructor, so it keeps no row."""
     n2 = maps.shape[-1]
-    blocks = np.zeros((len(grid), 3, n2, n2))
-    row = np.eye(n2)[None]
-    for j, phi in enumerate(maps, 1):
-        row = _next_row(phi, row)
-        band = _bands(row)
-        blocks[j, :len(band)] = band
+    blocks = np.zeros((len(grid), n2, n2))
+    blocks[1:] = maps
     blocks.flags.writeable = False
     return nlw.FundamentalSolution(grid, n2 // 2, "undamped", blocks, 1e-2)
 
@@ -309,7 +363,7 @@ def test_cold_table_makes_no_row(monkeypatch, name):
         raise AssertionError("a row was made")
     monkeypatch.setattr(propagator, "_next_row", unreachable)
     fs = nlw.realize(nlw.builtin_scenarios()[name], m=32).fs
-    assert fs.blocks.shape == (81, 3, 64, 64)
+    assert fs.blocks.shape == (81, 64, 64)
     assert np.all(np.isfinite(fs.blocks))
 
 
@@ -329,7 +383,7 @@ def test_growth_bound_covers_every_block(seed, family):
         op = _random_operator(rng, m, family == "damped")
         grid = np.linspace(0.0, rng.uniform(1.0, 4.0), n)
     fs = nlw.fundamental_solution(op, grid, h=1e-2)
-    phis, a0 = fs.blocks[1:, 0], op.a_of_t(grid[0])
+    phis, a0 = fs.blocks[1:], op.a_of_t(grid[0])
     bound = _log_growth_bound(phis, a0)
     assert bound < propagator.OVERFLOW_LOG_LIMIT
     blocks, _ = dense_rows(fs)
@@ -348,7 +402,7 @@ def test_growth_bound_covers_every_block(seed, family):
         assert scaled.min() < 1.0
 
 
-def test_failed_certificate_sweeps_the_rows_and_keeps_the_bands(monkeypatch):
+def test_failed_certificate_sweeps_the_rows_and_keeps_the_maps(monkeypatch):
     # u'' = 1e4 u on [0, 4]: the blocks grow to about e^400, past the
     # certificate's limit but finite
     op = scalar_op(-1e4)
@@ -362,13 +416,12 @@ def test_failed_certificate_sweeps_the_rows_and_keeps_the_bands(monkeypatch):
     monkeypatch.setattr(propagator, "_next_row", counting)
     fs = nlw.fundamental_solution(op, grid, h=1e-3)
     assert made[0] == grid.size - 1
-    assert _log_growth_bound(fs.blocks[1:, 0], op.a_of_t(0.0)) \
+    assert _log_growth_bound(fs.blocks[1:], op.a_of_t(0.0)) \
         > propagator.OVERFLOW_LOG_LIMIT
     blocks, ref = dense_rows(fs)
     assert np.all(np.isfinite(blocks)) and np.abs(blocks).max() > 1e150
-    for i, row in enumerate(ref):
-        band = _bands(row)
-        np.testing.assert_array_equal(fs.blocks[i, :len(band)], band)
+    for i, row in enumerate(ref[1:], 1):
+        np.testing.assert_array_equal(fs.blocks[i], row[i - 1])
 
 
 def reference_span(op, t0, t1, X, h, forcing=None, check_every_step=True):
@@ -455,12 +508,12 @@ def test_span_blowup_error_is_unchanged(check_every_step):
     assert (got.step_index is None) == (not check_every_step)
 
 
-def test_table_bytes_counts_bands_working_rows_and_audit_rows():
+def test_table_bytes_counts_maps_working_rows_and_audit_rows():
     block = 8 * 64 ** 2
-    assert propagator.table_bytes(32, 81) == 5 * 81 * block
-    assert propagator.table_bytes(32, 11, audit=True) == (55 + 66) * block
-    # --m 512 on the shipped 81-node grid: 2.0 GiB of bands, 0.68 GiB a row
-    assert propagator.table_bytes(512, 81) == 405 * 8 * 1024 ** 2
+    assert propagator.table_bytes(32, 81) == 3 * 81 * block
+    assert propagator.table_bytes(32, 11, audit=True) == (33 + 66) * block
+    # --m 512 on the shipped 81-node grid: 0.68 GiB of maps, 0.68 GiB a row
+    assert propagator.table_bytes(512, 81) == 243 * 8 * 1024 ** 2
 
 
 def test_memory_guard_rejects_before_anything_is_made(monkeypatch, tmp_path):
@@ -643,7 +696,7 @@ def test_load_rejects_foreign_file(tmp_path, diag_fs):
     fields = dict(kind=0, m=diag_fs.m, n=diag_fs.n_nodes, h=diag_fs.h)
     bad_grid = bytearray(raw)
     struct.pack_into("<d", bad_grid, HEADER_BYTES, 5.0)   # grid[0] = 5
-    # one entry of the block E(t_{N-1}, s_0), which the bands do not hold,
+    # one entry of the block E(t_{N-1}, s_0), which the maps do not hold,
     # off its product by 1e-6
     n2, N = 2 * diag_fs.m, diag_fs.n_nodes
     entry = HEADER_BYTES + 8 * (N + (N - 1) * N // 2 * n2 * n2)
@@ -708,7 +761,7 @@ def test_load_fs_validates_every_header(tmp_path_factory, kind, m, n, h,
     assert fs.kind == ("damped" if kind else "undamped")
     assert (fs.m, fs.n_nodes, fs.h) == (m, n, h)
     np.testing.assert_array_equal(fs.time_grid, grid)
-    assert fs.blocks.shape == (n, 3, 2 * m, 2 * m)
+    assert fs.blocks.shape == (n, 2 * m, 2 * m)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -851,7 +904,7 @@ def test_batched_axioms_match_per_pair_loop(damped):
     # the adjoint pair loop, on the returned-adjoint family (rounding level)
     # and on a mismatched one (the table itself, an O(1) defect here)
     fs_r = nlw.fundamental_solution(nlw.reversed_operator(op, 1.0),
-                                    fs.time_grid, h=1e-3, validate=False)
+                                    fs.time_grid, h=1e-3)
     for other in (fs_r, fs):
         assert abs(nlw.adjoint_defect(fs, other)
                    - per_pair_adjoint(fs, other)) < 1e-13
