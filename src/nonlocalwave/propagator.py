@@ -8,13 +8,13 @@ system U' = G(t)U + F with U = (u, u') and
 The two-parameter solution operator E(t, s) of the homogeneous system is
 tabulated on a time grid; its quadrants are C(t,s), S(t,s), dC(t,s), dS(t,s)
 for the undamped family and v1..v4 for the damped one, read through the
-same C/S/dC/dS accessors.  The integrator is
-linear in the state, so each grid interval has one transition map Phi_j,
-obtained by integrating an identity block across it.  The table stores
-these maps and nothing else; every other block is a product of them,
-E(t_i, s_j) = Phi_i ... Phi_{j+1}.  The composition identity
-E(t,s) = E(t,r)E(r,s) thus holds by construction up to matmul rounding, and
-the axiom checks measure genuine integrator defects.
+same C/S/dC/dS accessors.  The integrator is linear in the state, so each
+grid interval has one transition map Phi_j, obtained by integrating an
+identity block across it.  The table stores these maps and nothing else,
+and so does a :func:`dump_fs` file, with a sha256 digest; every other block
+is a product of them, E(t_i, s_j) = Phi_i ... Phi_{j+1}.  The composition
+identity E(t,s) = E(t,r)E(r,s) thus holds by construction up to matmul
+rounding, and the axiom checks measure genuine integrator defects.
 
 The integrator is the classical explicit fourth-order one-step method with
 the matrix evaluated at the stage times; the step is fixed and validated
@@ -23,7 +23,7 @@ against the spectral radius of A before each run.
 
 from __future__ import annotations
 
-import itertools
+import hashlib
 import os
 import struct
 from dataclasses import dataclass
@@ -36,7 +36,6 @@ from .errors import ConfigurationError, PropagationError
 STABILITY_LIMIT = 2.5  # |omega * h| budget for the classical 4th-order method
 FREQUENCY_SAMPLES = 5  # times at which spectral_frequency measures ||A(t)||
 NODE_TOL = 1e-10       # how far a time may lie from the grid node it names
-LOAD_TOL = 1e-12       # relative distance of a loaded row from its products
 DUHAMEL_MARGIN = 1e-12  # relative slack of duhamel_bound's row upper bounds
 FLOOR_SLACK = 1e-9     # relative slack of duhamel_bound's backward floor
 MEMORY_SHARE = 0.5     # share of MemAvailable that a table may plan to take
@@ -47,7 +46,7 @@ OVERFLOW_LOG_LIMIT = 0.5 * float(np.log(np.finfo(float).max))
 
 _MEMINFO = "/proc/meminfo"
 
-_MAGIC = b"NLWFS001"
+_MAGIC = b"NLWFS002"
 
 
 @dataclass(frozen=True)
@@ -204,10 +203,10 @@ def propagate(op, s, t, U0, forcing=None, h=1e-3):
 def table_bytes(m, n_nodes, audit=False):
     """Bytes a table of ``n_nodes`` nodes with 2m x 2m blocks needs at its
     peak: the interval maps, plus the row being made and the row it is made
-    from, as :meth:`FundamentalSolution.row`, :func:`dump_fs`,
-    :func:`load_fs` and a fill whose overflow certificate fails hold them,
-    and with ``audit`` every row of the grid held at once, as
-    :func:`check_axioms` and :func:`adjoint_defect` hold them."""
+    from, as :meth:`FundamentalSolution.row` and a fill or load whose
+    overflow certificate fails hold them, and with ``audit`` every row of
+    the grid held at once, as :func:`check_axioms` and
+    :func:`adjoint_defect` hold them."""
     blocks = 3 * n_nodes
     if audit:
         blocks += n_nodes * (n_nodes + 1) // 2
@@ -690,35 +689,37 @@ def adjoint_check(fs, op):
     return adjoint_defect(fs, fs_r)
 
 
-def dump_fs(fs, path):
-    """Write the tabulated family to a little-endian binary file.
+def _sha256(parts):
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    return digest.digest()
 
-    Layout: magic, kind byte, m, node count, substep (f64), the grid, then
-    the blocks row-major for pairs (i, j), j <= i, i ascending; the rows are
-    made and written one at a time.
-    """
-    header = _MAGIC + struct.pack(
-        "<BIId", 1 if fs.kind == "damped" else 0, fs.m, fs.n_nodes, fs.h)
-    rows = map(fs.row, range(fs.n_nodes))
+
+def dump_fs(fs, path):
+    """Write the table's grid and interval maps to a little-endian file:
+    magic, kind byte, m, node count, substep (f64), the grid, ``blocks[1:]``
+    row-major, then the sha256 of all the bytes before it.  No row is made."""
+    parts = (_MAGIC + struct.pack("<BIId", 1 if fs.kind == "damped" else 0,
+                                  fs.m, fs.n_nodes, fs.h),
+             np.ascontiguousarray(fs.time_grid, dtype="<f8"),
+             np.ascontiguousarray(fs.blocks[1:], dtype="<f8"))
     with open(path, "wb") as fh:
-        fh.write(header)
-        for arr in itertools.chain([fs.time_grid], rows):
-            fh.write(memoryview(np.ascontiguousarray(arr, dtype="<f8")).cast("B"))
+        fh.writelines(parts + (_sha256(parts),))
 
 
 def load_fs(path):
-    """Read a :func:`dump_fs` file, one row at a time.
-
-    The table keeps the file's interval maps, ``row[i - 1]`` of each row i.
-    Every row of the file, the diagonal included, must equal the table's
-    own product of its interval maps to within ``LOAD_TOL`` times the row's
-    largest entry; otherwise the file is rejected with
-    :class:`ConfigurationError`, as it is when the header names a table
-    above :func:`memory_budget`.
-    """
+    """Read a :func:`dump_fs` file.  The header, the exact size,
+    :func:`require_memory`, the digest, a finite increasing grid, finite
+    maps and the overflow certificate of :func:`fundamental_solution` are
+    checked in this order, each failure a :class:`ConfigurationError`; the
+    file holds no operator, so the certificate weighs the maps with D = I."""
     off = len(_MAGIC) + struct.calcsize("<BIId")
     with open(path, "rb") as fh:
         head = fh.read(off)
+        if head[:8] == b"NLWFS001":
+            raise ConfigurationError(f"{path} was written by an older "
+                                     "dump_fs format; dump the table again")
         if head[:8] != _MAGIC or len(head) < off:
             raise ConfigurationError(f"{path} is not a fundamental-solution dump")
         kind_b, m, n, h = struct.unpack_from("<BIId", head, 8)
@@ -726,30 +727,28 @@ def load_fs(path):
             raise ConfigurationError(
                 f"{path} has a corrupt header (kind byte {kind_b}, m={m}, "
                 f"{n} nodes, h={h!r})")
-        expected = off + 8 * (n + n * (n + 1) // 2 * 4 * m * m)
+        expected = off + 8 * (n + (n - 1) * 4 * m * m) + 32   # sha256
         size = os.fstat(fh.fileno()).st_size
         if size != expected:
             raise ConfigurationError(
                 f"{path} holds {size} bytes; its header (m={m}, {n} nodes) "
                 f"needs exactly {expected}")
         require_memory(m, n)
-        grid = np.fromfile(fh, dtype="<f8", count=n)
-        if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
-            raise ConfigurationError(
-                f"{path} holds a grid that is not finite and increasing")
-        blocks = np.zeros((n, 2 * m, 2 * m))
-        own = np.eye(2 * m)[None]
-        for i in range(n):
-            row = np.fromfile(fh, dtype="<f8", count=(i + 1) * 4 * m * m)
-            row = row.reshape(i + 1, 2 * m, 2 * m)
-            if i:
-                blocks[i] = row[i - 1]
-                own = _next_row(blocks[i], own)
-            with np.errstate(invalid="ignore", over="ignore"):
-                sound = np.abs(row - own).max() <= LOAD_TOL * np.abs(row).max()
-            if not sound:
-                raise ConfigurationError(
-                    f"{path}: row {i} is not the product of its interval maps")
+        grid = np.empty(n, dtype="<f8")
+        blocks = np.zeros((n, 2 * m, 2 * m), dtype="<f8")
+        fh.readinto(grid)
+        fh.readinto(blocks[1:])
+        if _sha256((head, grid, blocks[1:])) != fh.read():
+            raise ConfigurationError(f"{path} does not match its sha256 digest")
+    if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0)):
+        raise ConfigurationError(
+            f"{path} holds a grid that is not finite and increasing")
+    if not np.all(np.isfinite(blocks)):
+        raise ConfigurationError(f"{path} holds interval maps that are not finite")
+    try:
+        _check_rows(blocks, np.zeros((m, m)), grid)
+    except PropagationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
     blocks.flags.writeable = False
     return FundamentalSolution(grid, m, "damped" if kind_b else "undamped",
                                blocks, h)

@@ -39,8 +39,10 @@ class SpatialDomain:
         if len(self.lengths) != expected:
             raise ConfigurationError(
                 f"{self.kind} domain needs {expected} length(s), got {len(self.lengths)}")
-        if any(L <= 0 for L in self.lengths):
-            raise ConfigurationError("domain lengths must be strictly positive")
+        if not all(0 < L < np.inf for L in self.lengths):
+            raise ConfigurationError(
+                f"domain lengths must be finite and strictly positive, got "
+                f"{self.lengths}")
         if self.quadrature_order < 0:
             raise ConfigurationError("quadrature_order must be nonnegative")
 
@@ -151,7 +153,7 @@ def build_basis(domain, m):
     object.__setattr__(basis, "_proj", basis.eval_table * basis.weights)
     gram = basis._proj @ basis.eval_table.T
     defect = np.max(np.abs(gram - np.eye(m)))
-    if defect > GRAM_TOL:
+    if not defect <= GRAM_TOL:
         raise ConfigurationError(
             f"basis not orthonormal under stored quadrature (defect {defect:.3e}); "
             "increase quadrature_order")

@@ -86,6 +86,20 @@ def test_config_with_misspelt_kind_exits_1(tmp_path):
     assert rc == 1 and "undampd" in manifest["error"]
 
 
+def test_config_with_nan_length_exits_1(tmp_path):
+    # before the domain check, a NaN length gave an all-NaN basis and an
+    # error about coefficient 'a'
+    cfg_file = tmp_path / "nan.cfg"
+    nlw.save_scenario(dataclasses.replace(nlw.scenario_undamped_neumann(),
+                                          m=4), cfg_file)
+    cfg_file.write_text(cfg_file.read_text().replace(
+        f"length = {np.pi!r}", "length = nan"))
+    rc, _, manifest = run(tmp_path, "nan", command="solve",
+                          config=str(cfg_file))
+    assert rc == 1 and manifest["exit_code"] == 1
+    assert "domain length" in manifest["error"]
+
+
 def test_axioms_command(tmp_path):
     rc, out, manifest = run(tmp_path, "ax", command="axioms",
                             scenario="undamped_neumann", m="8")

@@ -1,8 +1,9 @@
+import hashlib
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -358,13 +359,18 @@ def test_duhamel_bound_ignores_a_floor_above_every_row(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["population", "undamped_neumann"])
-def test_cold_table_makes_no_row(monkeypatch, name):
+def test_cold_table_makes_no_row(tmp_path, monkeypatch, name):
     def unreachable(phi, prev):
         raise AssertionError("a row was made")
     monkeypatch.setattr(propagator, "_next_row", unreachable)
     fs = nlw.realize(nlw.builtin_scenarios()[name], m=32).fs
     assert fs.blocks.shape == (81, 64, 64)
     assert np.all(np.isfinite(fs.blocks))
+    # nor does a dump, or a load, whose certificate (D = I) also passes
+    path = tmp_path / "fs.bin"
+    nlw.dump_fs(fs, path)
+    assert path.stat().st_size == 8 + 17 + 8 * (81 + 80 * 64 ** 2) + 32
+    np.testing.assert_array_equal(nlw.load_fs(path).blocks, fs.blocks)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -685,44 +691,100 @@ HEADER_BYTES = 8 + struct.calcsize("<BIId")
 
 def fs_header(kind, m, n, h):
     """Magic plus header fields of a dump_fs file."""
-    return b"NLWFS001" + struct.pack("<BIId", kind, m, n, h)
+    return b"NLWFS002" + struct.pack("<BIId", kind, m, n, h)
 
 
-def test_load_rejects_foreign_file(tmp_path, diag_fs):
-    good = tmp_path / "fs.bin"
-    nlw.dump_fs(diag_fs, good)
-    raw = good.read_bytes()
-    p = tmp_path / "junk.bin"
-    fields = dict(kind=0, m=diag_fs.m, n=diag_fs.n_nodes, h=diag_fs.h)
-    bad_grid = bytearray(raw)
-    struct.pack_into("<d", bad_grid, HEADER_BYTES, 5.0)   # grid[0] = 5
-    # one entry of the block E(t_{N-1}, s_0), which the maps do not hold,
-    # off its product by 1e-6
-    n2, N = 2 * diag_fs.m, diag_fs.n_nodes
-    entry = HEADER_BYTES + 8 * (N + (N - 1) * N // 2 * n2 * n2)
-    perturbed = bytearray(raw)
-    struct.pack_into("<d", perturbed, entry,
-                     struct.unpack_from("<d", raw, entry)[0] + 1e-6)
-    body = HEADER_BYTES + 8 * N
-    zero_body = raw[:body] + bytes(len(raw) - body)
-    # foreign bytes, truncated header, truncated blocks, trailing bytes;
-    # a kind byte outside {0, 1}, h = nan and h < 0, a grid that does not
-    # increase; exact-size files whose header holds m = 0 or n < 2; and
-    # sound headers and grids with a body that is not a product of its
-    # interval maps (one perturbed block, a last diagonal entry of 0.5,
-    # all zeros)
-    for junk in (b"not a dump", raw[:12], raw[:-8], raw + b"\0",
-                 fs_header(**{**fields, "kind": 7}) + raw[HEADER_BYTES:],
-                 fs_header(**{**fields, "h": np.nan}) + raw[HEADER_BYTES:],
-                 fs_header(**{**fields, "h": -1.0}) + raw[HEADER_BYTES:],
-                 bytes(bad_grid), fs_header(0, 0, 0, 1e-3),
-                 fs_header(0, 4, 0, 1e-3),
-                 fs_header(0, 4, 1, 1e-3) + bytes(8 * (1 + 64)),
-                 bytes(perturbed), raw[:-8] + struct.pack("<d", 0.5),
-                 zero_body):
-        p.write_bytes(junk)
-        with pytest.raises(ConfigurationError):
-            nlw.load_fs(p)
+def signed(content):
+    """A dump_fs file's bytes: ``content`` and its sha256 digest."""
+    return content + hashlib.sha256(content).digest()
+
+
+SMALL_SIZE = HEADER_BYTES + 8 * (11 + 10 * 4 ** 2) + 32   # m = 2, 11 nodes
+SMALL_H = HEADER_BYTES - 8                                  # offset of h
+SMALL_PHI5 = HEADER_BYTES + 8 * (11 + 4 * 4 ** 2)           # Phi_5's first entry
+
+
+@pytest.fixture(scope="module")
+def small_dump(tmp_path_factory):
+    """The dump of an m = 2 table on 11 nodes, and a directory."""
+    op = nlw.undamped_operator(lambda t: np.diag([1.0, 4.0]), 2)
+    fs = nlw.fundamental_solution(op, np.linspace(0.0, 1.0, 11), h=1e-2)
+    where = tmp_path_factory.mktemp("small")
+    nlw.dump_fs(fs, where / "fs.bin")
+    raw = (where / "fs.bin").read_bytes()
+    assert len(raw) == SMALL_SIZE
+    return raw, where
+
+
+def corrupt(raw, edit):
+    kind, *args = edit
+    if kind == "xor":        # one byte changed
+        pos, mask = args
+        return raw[:pos] + bytes([raw[pos] ^ mask]) + raw[pos + 1:]
+    if kind == "set":        # bytes written over from an offset
+        pos, data = args
+        return raw[:pos] + data + raw[pos + len(data):]
+    if kind == "cut":
+        return raw[:args[0]]
+    if kind == "append":
+        return raw + args[0]
+    return args[0]           # "file": foreign bytes
+
+
+# any one byte changed, any truncation and any appended bytes; the
+# examples are foreign bytes, a truncated header, truncated maps, a
+# trailing byte; a kind byte outside {0, 1}, h = nan and h < 0, a grid
+# that does not increase; headers with m = 0 or n < 2; the lowest bit of
+# an entry of Phi_5 flipped (a table that a tolerance on rows accepted);
+# 0.5 over the last 8 bytes; and a body of zeros
+@settings(max_examples=300, deadline=None)
+@given(edit=st.one_of(
+    st.tuples(st.just("xor"), st.integers(0, SMALL_SIZE - 1),
+              st.integers(1, 255)),
+    st.tuples(st.just("cut"), st.integers(0, SMALL_SIZE - 1)),
+    st.tuples(st.just("append"), st.binary(min_size=1, max_size=64))))
+@example(edit=("file", b"not a dump"))
+@example(edit=("cut", 12))
+@example(edit=("cut", SMALL_SIZE - 8))
+@example(edit=("append", b"\0"))
+@example(edit=("xor", 8, 7))
+@example(edit=("set", SMALL_H, struct.pack("<d", np.nan)))
+@example(edit=("set", SMALL_H, struct.pack("<d", -1.0)))
+@example(edit=("set", HEADER_BYTES, struct.pack("<d", 5.0)))
+@example(edit=("file", fs_header(0, 0, 0, 1e-3)))
+@example(edit=("file", fs_header(0, 4, 0, 1e-3)))
+@example(edit=("file", signed(fs_header(0, 4, 1, 1e-3) + bytes(8))))
+@example(edit=("xor", SMALL_PHI5, 1))
+@example(edit=("set", SMALL_SIZE - 8, struct.pack("<d", 0.5)))
+@example(edit=("set", HEADER_BYTES + 8 * 11,
+               bytes(SMALL_SIZE - HEADER_BYTES - 8 * 11)))
+def test_load_rejects_any_corruption(small_dump, edit):
+    raw, where = small_dump
+    path = where / "corrupt.bin"
+    path.write_bytes(corrupt(raw, edit))
+    with pytest.raises(ConfigurationError):
+        nlw.load_fs(path)
+
+
+def test_load_names_an_older_format(small_dump):
+    raw, where = small_dump
+    path = where / "v1.bin"
+    path.write_bytes(b"NLWFS001" + raw[8:])
+    with pytest.raises(ConfigurationError, match="older"):
+        nlw.load_fs(path)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_load_rejects_maps_whose_products_overflow(tmp_path):
+    # finite maps and a valid digest, but Phi_2 Phi_1 = 1e400 I: the load's
+    # certificate fails and its row sweep names the interval
+    maps = np.tile(1e200 * np.eye(2), (3, 1, 1))
+    path = tmp_path / "fs.bin"
+    path.write_bytes(signed(fs_header(0, 1, 4, 1e-3)
+                            + np.linspace(0.0, 1.0, 4).astype("<f8").tobytes()
+                            + maps.astype("<f8").tobytes()))
+    with pytest.raises(ConfigurationError, match="between nodes 1 and 2"):
+        nlw.load_fs(path)
 
 
 def increasing(n):
@@ -740,16 +802,15 @@ def test_load_fs_validates_every_header(tmp_path_factory, kind, m, n, h,
                                         slack, data):
     # a dump with random header fields either loads as a table with sound
     # invariants or fails with ConfigurationError, never another exception;
-    # the blocks are all identities, the table of interval maps Phi_j = I
+    # the body is the grid, N - 1 identity maps Phi_j = I and the digest
     grid = np.asarray(data.draw(st.one_of(
         increasing(n), st.lists(st.floats(), min_size=n, max_size=n))),
         dtype=float)
-    pairs = n * (n + 1) // 2
-    body = grid.astype("<f8").tobytes() + np.tile(
-        np.eye(2 * m), (pairs, 1, 1)).astype("<f8").tobytes()
+    raw = signed(fs_header(kind, m, n, h) + grid.astype("<f8").tobytes()
+                 + np.tile(np.eye(2 * m), (max(n - 1, 0), 1, 1))
+                 .astype("<f8").tobytes())
     path = tmp_path_factory.mktemp("fuzz") / "fs.bin"
-    path.write_bytes(fs_header(kind, m, n, h)
-                     + (body + bytes(max(slack, 0)))[:len(body) + slack])
+    path.write_bytes((raw + bytes(max(slack, 0)))[:len(raw) + slack])
     sound = (kind <= 1 and m >= 1 and n >= 2 and np.isfinite(h) and h > 0
              and slack == 0 and np.all(np.isfinite(grid))
              and np.all(np.diff(grid) > 0))
@@ -762,6 +823,7 @@ def test_load_fs_validates_every_header(tmp_path_factory, kind, m, n, h,
     assert (fs.m, fs.n_nodes, fs.h) == (m, n, h)
     np.testing.assert_array_equal(fs.time_grid, grid)
     assert fs.blocks.shape == (n, 2 * m, 2 * m)
+    assert np.all(fs.blocks[1:] == np.eye(2 * m))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

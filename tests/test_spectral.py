@@ -49,6 +49,18 @@ def test_invalid_domains():
         nlw.rectangle(1.0, 0.0)
     with pytest.raises(ConfigurationError):
         nlw.build_basis(nlw.interval(1.0), 0)
+    # NaN passed a check written as L <= 0 and gave an all-NaN basis
+    for make in (lambda: nlw.interval(np.nan), lambda: nlw.interval(np.inf),
+                 lambda: nlw.rectangle(1.0, np.nan)):
+        with pytest.raises(ConfigurationError, match="finite"):
+            make()
+
+
+def test_build_basis_rejects_a_nan_gram_defect():
+    domain = nlw.interval(1.0)
+    object.__setattr__(domain, "lengths", (np.nan,))
+    with pytest.raises(ConfigurationError, match="orthonormal"):
+        nlw.build_basis(domain, 4)
 
 
 def test_project_zero(basis_pi8):
