@@ -200,17 +200,36 @@ def _affine_part(coef, tables, basis):
 
 
 def _affine_supplier(parts, basis):
+    """Time -> the sum of the coefficients' Gram matrices.
+
+    The piece of a coefficient expression without t is made here once; the
+    others are made at each call and added in the same order, so the sum is
+    :func:`_checked_sum`'s bit for bit.  A non-finite sum goes through
+    :func:`_checked_sum`, which names the coefficient.
+    """
+    m = basis.m
     parts = [(coef, _affine_part(coef, tables, basis)) for coef, tables in parts]
-    return lambda t: _checked_sum([(coef, part(t)) for coef, part in parts],
-                                  basis.m, t)
+    pieces = [part(0.0) if coef.expression is not None
+              and not coef.expression.depends_on("t") else part
+              for coef, part in parts]
+
+    def supplier(t):
+        entries = np.zeros((m, m))
+        for piece in pieces:
+            entries += piece(t) if callable(piece) else piece
+        if np.isfinite(entries).all():
+            return entries
+        return _checked_sum([(coef, part(t)) for coef, part in parts], m, t)
+
+    return supplier
 
 
 def stiffness_supplier(form, basis):
     """Time -> ndarray supplier of A(t), for the block propagator.
 
-    A coefficient over t alone costs an m x m scaling of a Gram matrix
-    built here; any other is assembled by quadrature at each t, as
-    :func:`assemble` does.
+    A coefficient without t is assembled once, here; one over t alone costs
+    an m x m scaling of a Gram matrix built here; any other is assembled by
+    quadrature at each t, as :func:`assemble` does.
     """
     return _affine_supplier(_stiffness_parts(form, basis), basis)
 

@@ -391,17 +391,20 @@ class FundamentalSolution:
         # rows are carried there
         lo = 0 if m == 1 else m
         best = 0.0
-        carried = self._eye[None, :, lo:]
-        for i in range(1, self.n_nodes):
+        # row i's halves go to pair[i % 2], row i - 1's sit in the other
+        N = self.n_nodes
+        pair = np.empty((2, N, 2 * m, 2 * m - lo))
+        s_buf = np.empty((N, m, m))
+        for i in range(1, N):
             phi = self.blocks[i]
-            prev, carried = carried, np.empty((i + 1, 2 * m, 2 * m - lo))
+            prev, carried = pair[(i - 1) % 2, :i], pair[i % 2, :i + 1]
             np.matmul(phi, prev[:i - 1], out=carried[:i - 1])
             carried[i - 1] = phi[:, lo:]
             carried[i] = self._eye[:, lo:]
             S = carried[:, :m, m - lo:]
-            s = np.abs(S)
+            s = np.abs(S, out=s_buf[:i + 1])
             one, inf = s.sum(axis=1).max(axis=1), s.sum(axis=2).max(axis=1)
-            upper = np.minimum(np.sqrt(np.sum(s * s, axis=(1, 2))),
+            upper = np.minimum(np.sqrt(np.square(s, out=s).sum(axis=(1, 2))),
                                np.sqrt(one * inf))
             bound = float(quadrature.integrate(upper, grid[:i + 1]))
             if bound * (1.0 + DUHAMEL_MARGIN) > max(floor, best):

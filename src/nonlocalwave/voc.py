@@ -6,9 +6,10 @@ The representation path evaluates
     u(t) = C(t,0) u0 + S(t,0) u1 + int_0^t S(t,s) f(s) ds
 
 (with v1, v2 for damped problems) on the fundamental-solution grid as a
-recurrence over the interval maps Phi_i = E(t_i, t_{i-1}): the homogeneous
-state and a composite-Simpson accumulator are advanced one interval at a
-time, so one evaluation costs O(N m^2) and reads only the interval maps.
+recurrence over the interval maps Phi_i = E(t_i, t_{i-1}): one chain, the
+homogeneous state plus the composite-Simpson Duhamel sum, is advanced one
+interval at a time with one mat-vec per interval, so one evaluation costs
+O(N m^2) and reads only the interval maps.
 Velocities come from the derivative blocks, never from differencing the
 u-track.  The oracle path integrates the full inhomogeneous block system
 with the same one-step method but no tables, giving an independent
@@ -91,28 +92,34 @@ def representation(fs, op, x0, y0, F, start=0, stop=None, u=None, v=None):
     """u/v tracks of the representation formula on nodes a..b = start..stop.
 
     The data (x0, y0) are frozen at t_a; F holds f-samples on the full fs
-    grid (None for a homogeneous problem).  With Z_j = (0, F_j), k = i - a and
-    the window's uniform step h, the state X_i = Phi_i X_{i-1} carries the
-    homogeneous part and the accumulator acc_i = Phi_i acc_{i-1} + c_k Z_i
-    (acc_a = Z_a, c_k = 4 for odd k, 2 for even k) carries the composite-
-    Simpson Duhamel sum over [t_a, t_i]:
+    grid, shape (N, m) (None for a homogeneous problem).  With Z_j = (0, F_j),
+    k = i - a and the window's uniform step h, one chain carries the
+    homogeneous state and the composite-Simpson Duhamel sum over [t_a, t_i]
+    together, since the formula is linear in the state:
 
-    * k = 1: the endpoint-corrected startup rule for u, a trapezoid for v;
-    * even k: Simpson, (h/3)(acc_i - Z_i);
+        V_0 = X_0 + (h/3) Z_a,   V_k = Phi_i V_{k-1} + w_k Z_i,
+
+    with X_0 = (x0, y0) and w_k = 4h/3 for odd k, 2h/3 for even k.  The
+    tracks U_i = (u_i, v_i) come from V alone:
+
+    * even k: U_i = V_k - (h/3) Z_i, Simpson over [t_a, t_i];
     * odd k >= 3: Simpson up to t_{i-3} and one closing 3/8 panel on the
-      last three intervals, both carried to t_i by the nested maps
-      Phi_i (Phi_{i-1} (Phi_{i-2} y + c Z_{i-2}) + c Z_{i-1}) + (3h/8) Z_i
-      with c = 9h/8 and y the Simpson sum at t_{i-3} plus (3h/8) Z_{i-3}.
+      last three intervals, Phi_i (Phi_{i-1} (Phi_{i-2} y + c Z_{i-2}) +
+      c Z_{i-1}) + (3h/8) Z_i with c = 9h/8 and y = U_{i-3} + (3h/8) Z_{i-3};
+    * k = 1: Phi_{a+1} X_0 plus the endpoint-corrected startup rule for u
+      and a trapezoid for v.
 
-    The node loop advances only the two chains X and acc, two (2m x 2m)
-    mat-vecs per node with Phi_i read from ``fs.blocks``; the Simpson
-    terms, the closing panels (three stacked mat-vecs over the maps of the
-    odd nodes) and the u/v split are then whole-window array passes.  Only
-    ``fs.blocks`` is read, apart from the startup rule's E(t_{a+1}, t_a),
-    and the result is the same floats as one 2-D mat-vec per map and node.
+    The node loop makes one (2m x 2m) mat-vec per node, written in place
+    with Phi_i read from ``fs.blocks``; the even-node split and the closing
+    panels (three stacked mat-vecs over the maps of the odd nodes) are
+    whole-window array passes, the same floats as one 2-D mat-vec per map
+    and node.  A homogeneous call runs the same loop on X alone.  Only
+    ``fs.blocks`` is read, apart from the startup rule's E(t_{a+1}, t_a).
     A forced window must be uniform.  Rows of ``u`` and ``v`` outside
     start..stop are left untouched.  The table must be of ``op``'s kind,
-    since the startup rule reads B(t) from the operator.
+    since the startup rule reads B(t) from the operator.  A window outside
+    0 <= start <= stop <= N - 1, or data or samples of the wrong shape,
+    raise :class:`ConfigurationError` before anything is allocated.
     """
     if op.kind != fs.kind:
         raise ConfigurationError(
@@ -120,44 +127,65 @@ def representation(fs, op, x0, y0, F, start=0, stop=None, u=None, v=None):
             f"got a {fs.kind} one")
     m = fs.m
     grid = fs.time_grid
+    N = grid.size
     a = start
-    b = grid.size - 1 if stop is None else stop
+    b = N - 1 if stop is None else stop
+    if not 0 <= a <= b <= N - 1:
+        raise ConfigurationError(
+            f"window start={start}, stop={stop} must satisfy "
+            f"0 <= start <= stop <= {N - 1}")
+    for name, x in (("x0", x0), ("y0", y0)):
+        if np.shape(x) != (m,):
+            raise ConfigurationError(
+                f"{name} has shape {np.shape(x)}, need ({m},)")
+    if F is not None and np.shape(F) != (N, m):
+        raise ConfigurationError(
+            f"forcing samples have shape {np.shape(F)}, need ({N}, {m})")
     K = b - a
     if u is None:
         dt = np.result_type(x0, y0, float if F is None else F)
-        u = np.empty((grid.size, m), dtype=dt)
-        v = np.empty((grid.size, m), dtype=dt)
+        u = np.empty((N, m), dtype=dt)
+        v = np.empty((N, m), dtype=dt)
     phi = fs.blocks[a:b + 1]      # phi[k] = Phi_{a+k}
+    # the node loops run over views; ndarray.dot into ``out`` is the same
+    # gemv as np.matmul, the same floats, at less cost per call
+    phis = list(phi)
     X0 = np.concatenate([x0, y0])
-    u[a], v[a] = X0[:m], X0[m:]
-    X = np.empty((K + 1, 2 * m), dtype=np.result_type(X0, float))
-    X[0] = X0
-    forced = F is not None and K > 0
-    if forced:
-        h = quadrature.require_uniform(grid[a:b + 1])
-        Z = np.zeros((K + 1, 2 * m), dtype=np.result_type(F, float))
-        Z[:, m:] = F[a:b + 1]
-        acc = np.empty_like(Z)
-        acc[0] = Z[0]
-    for k in range(1, K + 1):
-        X[k] = phi[k] @ X[k - 1]
-        if forced:
-            acc[k] = phi[k] @ acc[k - 1] + (4.0 if k % 2 else 2.0) * Z[k]
-    if forced:
-        duh = np.empty_like(Z)
-        duh[1] = 0.5 * h * (phi[1] @ Z[0] + Z[1])
-        duh[1, :m] = single_interval_duhamel(fs, op, a + 1, a, F, h)
-        duh[2::2] = h / 3.0 * (acc[2::2] - Z[2::2])
-        # odd k >= 3: slice d picks k - 3 + d for k = 3, 5, .., K
-        n = max(K - 1, 0) // 2
-        k3, k2, k1, k0 = (slice(d, d + 2 * n, 2) for d in range(4))
-        c = 9.0 * h / 8.0
-        y = h / 3.0 * (acc[k3] - Z[k3]) + 3.0 * h / 8.0 * Z[k3]
-        y = _mv(phi[k2], y) + c * Z[k2]
-        y = _mv(phi[k1], y) + c * Z[k1]
-        duh[k0] = _mv(phi[k0], y) + 3.0 * h / 8.0 * Z[k0]
-    tail = X[1:] + duh[1:] if forced else X[1:]
-    u[a + 1:b + 1], v[a + 1:b + 1] = tail[:, :m], tail[:, m:]
+    if F is None or K == 0:
+        U = np.empty((K + 1, 2 * m), dtype=np.result_type(X0, float))
+        U[0] = X0
+        Us = list(U)
+        for Phi, prev, cur in zip(phis[1:], Us, Us[1:]):
+            Phi.dot(prev, out=cur)
+        u[a:b + 1], v[a:b + 1] = U[:, :m], U[:, m:]
+        return u, v
+    h = quadrature.require_uniform(grid[a:b + 1])
+    Z = np.zeros((K + 1, 2 * m), dtype=np.result_type(F, float))
+    Z[:, m:] = F[a:b + 1]
+    wZ = np.empty_like(Z)
+    wZ[1::2] = 4.0 * h / 3.0 * Z[1::2]
+    wZ[2::2] = 2.0 * h / 3.0 * Z[2::2]
+    V = np.empty((K + 1, 2 * m), dtype=np.result_type(X0, Z))
+    V[0] = X0 + h / 3.0 * Z[0]
+    Vs = list(V)
+    for Phi, prev, cur, w in zip(phis[1:], Vs, Vs[1:], wZ[1:]):
+        Phi.dot(prev, out=cur)
+        cur += w
+    U = np.empty_like(V)
+    U[0] = X0
+    U[2::2] = V[2::2] - h / 3.0 * Z[2::2]
+    duh = 0.5 * h * (phi[1] @ Z[0] + Z[1])
+    duh[:m] = single_interval_duhamel(fs, op, a + 1, a, F, h)
+    U[1] = phi[1] @ X0 + duh
+    # odd k >= 3: slice d picks k - 3 + d for k = 3, 5, .., K
+    n = (K - 1) // 2
+    k3, k2, k1, k0 = (slice(d, d + 2 * n, 2) for d in range(4))
+    c = 9.0 * h / 8.0
+    y = U[k3] + 3.0 * h / 8.0 * Z[k3]
+    y = _mv(phi[k2], y) + c * Z[k2]
+    y = _mv(phi[k1], y) + c * Z[k1]
+    U[k0] = _mv(phi[k0], y) + 3.0 * h / 8.0 * Z[k0]
+    u[a:b + 1], v[a:b + 1] = U[:, :m], U[:, m:]
     return u, v
 
 

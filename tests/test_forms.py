@@ -64,12 +64,14 @@ def test_non_finite_assembly_names_its_coefficient(basis3):
                  nlw.damping_supplier(f, basis3)):
         with pytest.raises(ConfigurationError, match="coefficient 'sigma'"):
             call(0.5)
-    # a constant pole: c(t) = inf at every t
-    g = form("t + 1/(1 - 1)", "1")
-    for call in (lambda t: nlw.assemble(g, basis3, t),
-                 nlw.stiffness_supplier(g, basis3)):
-        with pytest.raises(ConfigurationError, match="coefficient 'a'"):
-            call(0.2)
+    # a constant pole: c(t) = inf at every t, over t and without t
+    for g, name in ((form("t + 1/(1 - 1)", "1"), "a"),
+                    (form("1", "1/(1 - 1)"), "c")):
+        for call in (lambda t: nlw.assemble(g, basis3, t),
+                     nlw.stiffness_supplier(g, basis3)):
+            with pytest.raises(ConfigurationError,
+                               match=f"coefficient '{name}'"):
+                call(0.2)
 
 
 def test_callable_coefficient_stays_on_quadrature(basis3):
@@ -102,7 +104,8 @@ def test_suppliers_match_quadrature(coef, domain):
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("coef", ["exp(-t*x)", "(1 + t)*(2 + cos(x))"])
+@pytest.mark.parametrize("coef", ["exp(-t*x)", "(1 + t)*(2 + cos(x))",
+                                  "2 + cos(x)"])
 def test_x_dependent_form_keeps_quadrature_bit_for_bit(coef, basis_pi8):
     f = form(coef, coef + "/4", damping=coef + "/2")
     for t in (0.0, 0.37, 1.0):

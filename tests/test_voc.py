@@ -357,6 +357,50 @@ def test_recurrence_reads_only_near_diagonal_blocks(kind):
 
 def per_node_representation(fs, op, x0, y0, F, start=0, stop=None, u=None,
                             v=None):
+    """The one-chain recurrence with every node's track formed in the node
+    loop, one 2-D mat-vec per block read through E."""
+    m = fs.m
+    grid = fs.time_grid
+    a = start
+    b = grid.size - 1 if stop is None else stop
+    if u is None:
+        dt = np.result_type(x0, y0, float if F is None else F)
+        u = np.empty((grid.size, m), dtype=dt)
+        v = np.empty((grid.size, m), dtype=dt)
+    X = np.concatenate([x0, y0])
+    u[a], v[a] = X[:m], X[m:]
+    if F is None or b == a:
+        for i in range(a + 1, b + 1):
+            X = fs.E(i, i - 1) @ X
+            u[i], v[i] = X[:m], X[m:]
+        return u, v
+    h = quadrature.require_uniform(grid[a:b + 1])
+    Z = np.zeros((b - a + 1, 2 * m), dtype=np.result_type(F, float))
+    Z[:, m:] = F[a:b + 1]
+    U = [X]
+    V = X + h / 3.0 * Z[0]
+    for k in range(1, b - a + 1):
+        i = a + k
+        phi = fs.E(i, i - 1)
+        V = phi @ V + (4.0 * h / 3.0 if k % 2 else 2.0 * h / 3.0) * Z[k]
+        if k == 1:
+            duh = 0.5 * h * (phi @ Z[0] + Z[1])
+            duh[:m] = voc.single_interval_duhamel(fs, op, i, a, F, h)
+            U.append(phi @ X + duh)
+        elif k % 2 == 0:
+            U.append(V - h / 3.0 * Z[k])
+        else:
+            c = 9.0 * h / 8.0
+            y = U[k - 3] + 3.0 * h / 8.0 * Z[k - 3]
+            y = fs.E(i - 2, i - 3) @ y + c * Z[k - 2]
+            y = fs.E(i - 1, i - 2) @ y + c * Z[k - 1]
+            U.append(phi @ y + 3.0 * h / 8.0 * Z[k])
+        u[i], v[i] = U[k][:m], U[k][m:]
+    return u, v
+
+
+def two_chain_representation(fs, op, x0, y0, F, start=0, stop=None, u=None,
+                             v=None):
     """The recurrence with every node's Duhamel term formed in the node
     loop, one 2-D mat-vec per block read through E."""
     m = fs.m
@@ -443,3 +487,39 @@ def test_representation_rejects_nonuniform_window():
     u, _ = voc.representation(fs, op, np.ones(1), np.zeros(1), F,
                               start=0, stop=2)
     assert np.all(np.isfinite(u[:3]))
+
+
+@pytest.mark.parametrize("kind", ["undamped", "damped"])
+@pytest.mark.parametrize("data", ["real", "complex"])
+def test_one_chain_agrees_with_two_chains(kind, data):
+    # V = X + (h/3) acc sums the homogeneous state and the Simpson
+    # accumulator in one chain, so the tracks move only by rounding
+    op, fs = random_family(kind)
+    m, N = fs.m, fs.n_nodes
+    rng = np.random.default_rng(8)
+    x0, y0 = rng.standard_normal(m), rng.standard_normal(m)
+    F = rng.standard_normal((N, m))
+    if data == "complex":
+        x0 = x0 + 1j * rng.standard_normal(m)
+        F = F + 1j * rng.standard_normal((N, m))
+    for a in (0, 1, 17):
+        for stop in [a + K for K in range(6)] + [None]:
+            got = voc.representation(fs, op, x0, y0, F, start=a, stop=stop)
+            ref = two_chain_representation(fs, op, x0, y0, F, start=a,
+                                           stop=stop)
+            b = N - 1 if stop is None else stop
+            for g, r in zip(got, ref):
+                err = np.abs(g[a:b + 1] - r[a:b + 1]).max()
+                assert err <= 1e-13 * np.abs(r[a:b + 1]).max(), (a, stop, err)
+
+
+@pytest.mark.parametrize("case", [
+    dict(start=5, stop=4), dict(start=5, stop=2), dict(stop=11),
+    dict(start=12), dict(F=np.ones((10, 1))), dict(F=np.ones((11, 2))),
+    dict(F=np.ones(11)), dict(x0=np.ones(2)), dict(y0=np.ones(2))])
+def test_representation_rejects_bad_window_and_shapes(case):
+    op = scalar_op(1.0)
+    fs = nlw.fundamental_solution(op, np.linspace(0.0, 1.0, 11), h=1e-2)
+    args = dict(x0=np.ones(1), y0=np.zeros(1), F=np.ones((11, 1))) | case
+    with pytest.raises(ConfigurationError):
+        voc.representation(fs, op, **args)
