@@ -8,7 +8,7 @@ from .spectral import (SpatialDomain, SpectralBasis, Trajectory, build_basis,
                        interval, norms, project, rectangle, zero_trajectory)
 from .forms import (CoefficientField, FormCertificate, FormSpec,
                     KernelConstants, assemble,
-                    assemble_damping, build_Am, certify, certify_operator,
+                    assemble_damping, certify, certify_operator,
                     coefficient_field, kernel_lipschitz, stiffness_supplier,
                     damping_supplier)
 from .propagator import (AxiomReport, BlockOperator, FundamentalSolution,
@@ -16,8 +16,7 @@ from .propagator import (AxiomReport, BlockOperator, FundamentalSolution,
                          damped_operator, dump_fs, fundamental_solution,
                          load_fs, propagate, reversed_operator,
                          undamped_operator)
-from .voc import (LinearProblem, ResidualReport, direct_integrate, residual,
-                  solve)
+from .voc import LinearProblem, direct_integrate, residual, solve
 from .fixedpoint import (ConvergenceTable, FixedPointReport, NonlocalKernel,
                          NonlocalProblem, Nonlinearity, SolveConfig,
                          apply_kernel, contraction_solve, galerkin_refine,

@@ -161,8 +161,8 @@ def run(cfg):
     """Execute one command; returns the process exit status."""
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    manifest_path = out / "manifest.json"
     manifest = {"command": cfg.command, "seed": cfg.seed}
+    exit_code = 0
     try:
         _validate(cfg)
         scenario = _resolve_scenario(cfg)
@@ -210,9 +210,7 @@ def run(cfg):
                         if getattr(report, k) > v}
             if failures:
                 manifest["axiom_failures"] = failures
-                manifest["exit_code"] = 2
-                _write_json(manifest_path, manifest)
-                return 2
+                exit_code = 2
 
         elif cfg.command in ("solve", "manufactured"):
             if cfg.command == "manufactured" and scenario.manufactured_u is None:
@@ -269,28 +267,22 @@ def run(cfg):
 
     except (ConfigurationError, PropagationError) as exc:
         manifest["error"] = str(exc)
-        manifest["exit_code"] = 1
-        _write_json(manifest_path, manifest)
-        return 1
+        exit_code = 1
     except CertificationError as exc:
         manifest["error"] = str(exc)
         manifest["witness"] = {"time": exc.witness_time,
                                "point": exc.witness_point,
                                "vector": exc.witness_vector}
-        manifest["exit_code"] = 2
-        _write_json(manifest_path, manifest)
-        return 2
+        exit_code = 2
     except NonconvergenceError as exc:
         manifest["error"] = str(exc)
         if exc.report is not None:
             manifest["report"] = exc.report.to_dict()
-        manifest["exit_code"] = 3
-        _write_json(manifest_path, manifest)
-        return 3
+        exit_code = 3
 
-    manifest["exit_code"] = 0
-    _write_json(manifest_path, manifest)
-    return 0
+    manifest["exit_code"] = exit_code
+    _write_json(out / "manifest.json", manifest)
+    return exit_code
 
 
 def parse_args(argv=None):

@@ -199,9 +199,6 @@ class Expression:
             raise ExpressionError(f"cannot differentiate with respect to {var!r}")
         return Expression(_derivative(self._node, var))
 
-    def is_constant(self):
-        return self._node[0] == "num"
-
     def depends_on(self, var):
         def walk(node):
             if node[0] == "var":

@@ -27,6 +27,7 @@ from .errors import ConfigurationError, NonconvergenceError
 from .expressions import Expression, as_expression
 from .spectral import Trajectory, project, zero_trajectory
 
+MAX_ITER = 200          # global iterations of either engine
 SAFETY = 0.9            # largest local coefficient a partition may leave
 INNER_MAX_ITER = 60     # sweeps per sub-interval and per homotopy stage
 LAMBDA_STEPS = 6        # initial homotopy grid on [0, 1]
@@ -34,6 +35,7 @@ MIN_LAMBDA_STEP = 0.05  # the homotopy stalls below this step
 PROBE_COUNT, PROBE_RADIUS = 8, 2.0     # random trajectories bounding r1, r2
 BALL_TOL = 1e-6         # slack of the Gronwall ball check
 GROWTH_PROBES, GROWTH_RADIUS, GROWTH_TOL = 20, 2.0, 1e-9  # validate_growth
+REFINE_PROBES = 5       # random unit probes y of galerkin_refine's action diff
 
 
 @dataclass
@@ -168,19 +170,18 @@ def pointwise_nonlinearity(basis, fn, kind, growth_a=None, lipschitz=None,
                         growth_b=growth_b, lipschitz=lipschitz, name=name)
 
 
-def with_extra_forcing(nl, extra, extra_b=None):
+def with_extra_forcing(nl, extra):
     """Add a time-dependent forcing term (manufactured-solution hook).
 
-    ``extra(t)`` (and ``extra_b(t)``) follow the time-column contract of
-    :class:`Nonlinearity`: coefficients of shape (m,) or (N, m).
+    ``extra(t)`` follows the time-column contract of :class:`Nonlinearity`:
+    coefficients of shape (m,) or (N, m).  Its norm joins the growth term b.
     """
     def evaluator(t, coeffs):
         return nl.evaluator(t, coeffs) + extra(t)
     base_b = nl.growth_b
 
     def growth_b(t):
-        add = extra_b(t) if extra_b is not None else _row_norms(extra(t), t)
-        return base_b(t) + add
+        return base_b(t) + _row_norms(extra(t), t)
     return Nonlinearity(evaluator, nl.kind, growth_a=nl.growth_a,
                         growth_b=growth_b, lipschitz=nl.lipschitz,
                         name=nl.name + "+forcing")
@@ -237,16 +238,7 @@ class NonlocalProblem:
 @dataclass
 class SolveConfig:
     tol: float = 1e-8
-    max_iter: int = 200
-    homotopy: str = "auto"          # auto | always
     seed: int = 0
-    force_partition: int | None = None   # chunk count; consistency checks only
-
-    def __post_init__(self):
-        if self.homotopy not in ("auto", "always"):
-            raise ConfigurationError(
-                f"unknown homotopy mode {self.homotopy!r}; "
-                "use 'auto' or 'always'")
 
 
 @dataclass
@@ -288,15 +280,16 @@ class FixedPointReport:
         return out
 
 
-def _solution_map(problem, fs, w, x0, y0, partition=None, cfg=None):
-    """One application of the solution map, optionally by concatenation."""
+def _solution_map(problem, fs, w, x0, y0, partition=None, tol=None):
+    """One application of the solution map, optionally by concatenation,
+    whose inner sweeps stop below ``0.1 * tol``."""
     F = superpose(problem.nonlinearity, w)
     grid = fs.time_grid
     if partition is None:
         u, v = voc.representation(fs, problem.op, x0, y0, F)
         return Trajectory(grid, u, v)
     # forward concatenation with an inner Picard solve per sub-interval
-    inner_tol = 0.1 * cfg.tol
+    inner_tol = 0.1 * tol
     u = np.empty((grid.size, fs.m))
     v = np.empty((grid.size, fs.m))
     xa, ya = x0, y0
@@ -337,13 +330,13 @@ def _nonlocal_data(problem, w, report):
     return x, y
 
 
-def _finalise(problem, fs, w, report, cfg, sup_w):
+def _finalise(problem, fs, w, report, tol, sup_w):
     x, y = _nonlocal_data(problem, w, report)
     report.residual_ic_u = float(np.linalg.norm(w.u[0] - x))
     report.residual_ic_v = float(np.linalg.norm(w.v[0] - y))
     nl = problem.nonlinearity
     F = superpose(nl, w)
-    report.residual_equation = voc.residual(w, problem.op, F).equation
+    report.residual_equation = voc.residual(w, problem.op, F)
     report.growth_excess = growth_excess(nl, w, F)
     a, b = nl.ball_growth(fs.m)
     b_l1 = float(quadrature.integrate(np.abs(_b_samples(b, fs.time_grid)),
@@ -352,12 +345,7 @@ def _finalise(problem, fs, w, report, cfg, sup_w):
         report.m1, report.m2, report.r1, report.r2, b_l1, a, problem.horizon)
     report.gronwall_ok = bool(
         max(sup_w, default=0.0) <= report.gronwall_radius + BALL_TOL)
-    report.measured_ratio = _measured_ratio(report.update_norms, cfg.tol)
-
-
-def _block_bounds(fs):
-    """(M1, M2, M_{2,T}) of a table, computed on its first solve and kept."""
-    return (*fs.first_column_bounds(), fs.duhamel_bound())
+    report.measured_ratio = _measured_ratio(report.update_norms, tol)
 
 
 def contraction_solve(problem, fs, cfg=None):
@@ -377,7 +365,8 @@ def contraction_solve(problem, fs, cfg=None):
             "contraction_solve needs a Lipschitz nonlinearity with declared L")
     grid = fs.time_grid
     T = problem.horizon
-    m1, m2, m2t = _block_bounds(fs)
+    m1, m2 = fs.first_column_bounds()
+    m2t = fs.duhamel_bound()
     lg = forms.kernel_lipschitz(problem.kernel_g, problem.basis).into_h
     lh = forms.kernel_lipschitz(problem.kernel_h, problem.basis).into_h
     L = problem.nonlinearity.lipschitz
@@ -385,14 +374,11 @@ def contraction_solve(problem, fs, cfg=None):
     q_duhamel = L * m2t
     q = q_nonlocal + q_duhamel
 
-    # sub-intervals of `stride` grid steps, forced or predicted
+    # sub-intervals of `stride` grid steps, from the predicted q
     stride = None
     dt = grid[1] - grid[0]
     message = ""
-    if cfg.force_partition:
-        stride = max(1, int(np.ceil((grid.size - 1) / cfg.force_partition)))
-        message = f"partition of {cfg.force_partition} chunks forced by config"
-    elif q >= 1.0:
+    if q >= 1.0:
         if L > 0 and m2 > 0 and q_nonlocal <= SAFETY:
             tau = (SAFETY - q_nonlocal) / (L * m2)
             stride = max(1, int(np.floor(tau / dt + 1e-12)))
@@ -418,9 +404,9 @@ def contraction_solve(problem, fs, cfg=None):
 
     w = zero_trajectory(grid, fs.m)
     sup_w = []
-    for k in range(1, cfg.max_iter + 1):
+    for k in range(1, MAX_ITER + 1):
         x0, y0 = _nonlocal_data(problem, w, report)
-        w_new = _solution_map(problem, fs, w, x0, y0, partition, cfg)
+        w_new = _solution_map(problem, fs, w, x0, y0, partition, cfg.tol)
         upd = float(np.max(np.linalg.norm(w_new.u - w.u, axis=1)))
         if not np.isfinite(upd):
             report.iterations = k
@@ -433,11 +419,11 @@ def contraction_solve(problem, fs, cfg=None):
         if upd < cfg.tol:
             report.converged = True
             break
-    _finalise(problem, fs, w, report, cfg, sup_w)
+    _finalise(problem, fs, w, report, cfg.tol, sup_w)
     if not report.converged:
         report.message += " | no convergence within max_iter"
         raise NonconvergenceError(
-            f"contraction iteration did not converge in {cfg.max_iter} "
+            f"contraction iteration did not converge in {MAX_ITER} "
             f"iterations (last update {report.update_norms[-1]:.3e})",
             report=report)
     return w, report
@@ -471,6 +457,38 @@ def _picard(problem, fs, w, tol, budget, report, sup_w, scale=1.0):
     return w, False
 
 
+def _homotopy(problem, fs, tol, report, sup_w):
+    """Continuation in w = lambda T(w) from the exact fixed point w = 0 at
+    lambda = 0; returns (w, converged).
+
+    Each stage is a Picard phase started from the previous stage's point;
+    a stage that fails halves its step, and a step below MIN_LAMBDA_STEP
+    stalls the continuation at the last lambda reached.
+    """
+    w = zero_trajectory(fs.time_grid, fs.m)
+    report.homotopy_path.append((0.0, 0, 0.0))
+    report.lambda_reached = 0.0
+    lams = np.linspace(0.0, 1.0, LAMBDA_STEPS).tolist()
+    i = 1
+    while i < len(lams):
+        trial, ok = _picard(problem, fs, w, tol, INNER_MAX_ITER, report,
+                            sup_w, scale=lams[i])
+        if ok:
+            w = trial
+            report.lambda_reached = lams[i]
+            report.homotopy_path.append(
+                (float(lams[i]), report.iterations,
+                 float(report.update_norms[-1])))
+            i += 1
+        elif lams[i] - lams[i - 1] > MIN_LAMBDA_STEP:
+            lams.insert(i, 0.5 * (lams[i - 1] + lams[i]))
+        else:
+            report.message = (f"homotopy stalled at lambda="
+                              f"{report.lambda_reached:.3g}")
+            return w, False
+    return w, True
+
+
 def relaxed_solve(problem, fs, cfg=None):
     """Picard iteration w <- T(w), with homotopy fallback in w = lambda T(w).
 
@@ -481,7 +499,8 @@ def relaxed_solve(problem, fs, cfg=None):
     cfg = cfg or SolveConfig()
     grid = fs.time_grid
     rng = np.random.default_rng(cfg.seed)
-    m1, m2, m2t = _block_bounds(fs)
+    m1, m2 = fs.first_column_bounds()
+    m2t = fs.duhamel_bound()
 
     report = FixedPointReport(method="relaxed", converged=False, iterations=0,
                               m1=m1, m2=m2, m2t=m2t)
@@ -492,49 +511,21 @@ def relaxed_solve(problem, fs, cfg=None):
             np.zeros((grid.size, fs.m))), report)
 
     sup_w = []
-    w = zero_trajectory(grid, fs.m)
-    converged = False
-    if cfg.homotopy == "auto":
-        w, converged = _picard(problem, fs, w, cfg.tol, cfg.max_iter,
-                               report, sup_w)
-        report.lambda_reached = 1.0 if converged else 0.0
-
+    w, converged = _picard(problem, fs, zero_trajectory(grid, fs.m), cfg.tol,
+                           MAX_ITER, report, sup_w)
+    report.lambda_reached = 1.0 if converged else 0.0
     if not converged:
-        w = zero_trajectory(grid, fs.m)   # exact fixed point at lambda 0
-        report.homotopy_path.append((0.0, 0, 0.0))
-        report.lambda_reached = 0.0
-        i = 1
-        lam_list = np.linspace(0.0, 1.0, LAMBDA_STEPS).tolist()
-        while i < len(lam_list):
-            lam = lam_list[i]
-            trial, ok = _picard(problem, fs, w, cfg.tol, INNER_MAX_ITER,
-                                report, sup_w, scale=lam)
-            if ok:
-                w = trial
-                report.lambda_reached = lam
-                report.homotopy_path.append(
-                    (float(lam), report.iterations,
-                     float(report.update_norms[-1])))
-                i += 1
-                continue
-            prev = lam_list[i - 1]
-            if lam - prev > MIN_LAMBDA_STEP:
-                lam_list.insert(i, 0.5 * (prev + lam))
-                continue
-            report.message = (f"homotopy stalled at lambda="
-                              f"{report.lambda_reached:.3g}")
-            _finalise(problem, fs, w, report, cfg, sup_w)
-            raise NonconvergenceError(report.message, report=report)
-
-    report.converged = True
-    _finalise(problem, fs, w, report, cfg, sup_w)
+        w, converged = _homotopy(problem, fs, cfg.tol, report, sup_w)
+    report.converged = converged
+    _finalise(problem, fs, w, report, cfg.tol, sup_w)
+    if not converged:
+        raise NonconvergenceError(report.message, report=report)
     return w, report
 
 
 @dataclass
 class RefinementLevel:
     m: int
-    basis: object
     fs: object
     trajectory: Trajectory | None
     report: FixedPointReport | None
@@ -560,13 +551,14 @@ class ConvergenceTable:
         return all(b <= a for a, b in zip(vals[:-1], vals[1:]))
 
 
-def galerkin_refine(solve_level, m_list, probe_count=5, rng=None):
+def galerkin_refine(solve_level, m_list, rng=None):
     """Refinement sweep: solve at each m, compare against the finest level.
 
     ``solve_level(m)`` must return a :class:`RefinementLevel` on a grid
     shared by all levels.  Reports L2(0,T;H) trajectory differences and the
     largest fundamental-solution action difference
-    |S_m(t,s) P_m y - S_M(t,s) y| over all grid pairs and random probes y.
+    |S_m(t,s) P_m y - S_M(t,s) y| over all grid pairs and REFINE_PROBES
+    random unit probes y.
     A level that fails to converge is marked and the sweep continues.
     """
     m_list = list(m_list)
@@ -578,7 +570,7 @@ def galerkin_refine(solve_level, m_list, probe_count=5, rng=None):
         try:
             levels.append(solve_level(m))
         except NonconvergenceError as exc:
-            levels.append(RefinementLevel(m, None, None, None,
+            levels.append(RefinementLevel(m, None, None,
                                           getattr(exc, "report", None),
                                           error=str(exc)))
     finest = levels[-1]
@@ -586,7 +578,7 @@ def galerkin_refine(solve_level, m_list, probe_count=5, rng=None):
         raise NonconvergenceError(
             f"finest level m={finest.m} failed: {finest.error}")
     M = finest.m
-    ys = rng.standard_normal((probe_count, M))
+    ys = rng.standard_normal((REFINE_PROBES, M))
     ys /= np.linalg.norm(ys, axis=1, keepdims=True)
     rows = []
     for lev in levels[:-1]:

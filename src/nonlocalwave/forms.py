@@ -242,25 +242,6 @@ def damping_supplier(form, basis):
     return _affine_supplier(_damping_parts(form, basis), basis)
 
 
-def build_Am(stiffness, basis, m_sub, alpha):
-    """Projected operator: the m_sub block of A(t) plus the alpha-weighted
-    V-inner-product operator on the complement.
-
-    On the resolved subspace this acts as the plain projection of A(t); the
-    complement block is diagonal alpha*(1 + lambda_k); coupling blocks vanish.
-    """
-    m = basis.m
-    if not 0 < m_sub <= m:
-        raise ConfigurationError(f"m_sub must lie in 1..{m}, got {m_sub}")
-    if alpha <= 0:
-        raise ConfigurationError("alpha must be positive")
-    out = np.zeros_like(stiffness)
-    out[:m_sub, :m_sub] = stiffness[:m_sub, :m_sub]
-    comp = alpha * basis.v_weights[m_sub:]
-    out[m_sub:, m_sub:] = np.diag(comp)
-    return out
-
-
 def vvprime_norm(entries, v_weights):
     """Coordinate V -> V' operator norm: ||D^-1/2 M D^-1/2||_2."""
     d = 1.0 / np.sqrt(v_weights)
@@ -269,7 +250,7 @@ def vvprime_norm(entries, v_weights):
 
 def certify_operator(a_of_t, basis, horizon, shift=0.0,
                      gradient_supplier=None):
-    """Certify a time -> matrix supplier (e.g. a projected A_m).
+    """Certify a time -> matrix supplier (e.g. a stiffness supplier).
 
     ``shift`` is the H-norm shift omega in the coercivity estimate
     Re a(t;u,u) + shift*|u|_H^2 >= alpha*|u|_V^2; ``gradient_supplier``

@@ -184,9 +184,13 @@ def realize(scenario, m=None, h=None, fs_step=None, span_tol=1e-8, seed=0):
         if not (np.isfinite(value) and value > 0):
             raise ConfigurationError(
                 f"{name}={value!r} must be finite and positive")
-    if fs_step > T:
+    # the table grid takes steps of exactly fs_step; a step count that
+    # overflows to inf fails the test too
+    steps = np.round(T / fs_step)
+    if not abs(steps * fs_step - T) <= 1e-9 * T:
         raise ConfigurationError(
-            f"fs_step={fs_step!r} exceeds the horizon {T!r}")
+            f"fs_step={fs_step!r} does not divide the horizon {T!r}")
+    n_nodes = int(steps) + 1
     if (scenario.kind == "damped") != (scenario.damping_coef is not None):
         raise ConfigurationError(
             f"scenario kind {scenario.kind!r} inconsistent with "
@@ -198,7 +202,6 @@ def realize(scenario, m=None, h=None, fs_step=None, span_tol=1e-8, seed=0):
         forms.stiffness_supplier(form, basis),
         forms.damping_supplier(form, basis), m)
 
-    n_nodes = int(round(T / fs_step)) + 1
     grid = np.linspace(0.0, T, n_nodes)
     fs = propagator.fundamental_solution(op, grid, h=h)
 
@@ -294,7 +297,7 @@ def refinement_sweep(scenario, m_list, h=None, fs_step=None, cfg=None,
         rz = realize(scenario, m=m, h=h, fs_step=fs_step, span_tol=None,
                      seed=seed)
         traj, report = solve_realization(rz, cfg)
-        return fixedpoint.RefinementLevel(m, rz.basis, rz.fs, traj, report)
+        return fixedpoint.RefinementLevel(m, rz.fs, traj, report)
 
     return fixedpoint.galerkin_refine(solve_level, m_list,
                                       rng=np.random.default_rng(seed))
@@ -303,7 +306,7 @@ def refinement_sweep(scenario, m_list, h=None, fs_step=None, cfg=None,
 # -- configuration file round trip ------------------------------------------
 
 def save_scenario(scenario, path):
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     cp["scenario"] = {"name": scenario.name, "kind": scenario.kind,
                       "engine": scenario.engine,
                       "horizon": repr(scenario.horizon)}
@@ -344,7 +347,7 @@ def save_scenario(scenario, path):
 
 
 def load_scenario(path):
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     if not cp.read(path):
         raise ConfigurationError(f"cannot read configuration file {path!r}")
     try:

@@ -72,6 +72,35 @@ def test_certify_violated_bound_exits_2(tmp_path):
     assert manifest["witness"]["point"] is not None
 
 
+def test_stalled_solve_exits_3(tmp_path):
+    # kappa_1 = 5 makes g(u) five times the time integral of u: the Picard
+    # phase diverges and the homotopy stalls at lambda = 0.2
+    cfg_file = tmp_path / "stall.cfg"
+    nlw.save_scenario(dataclasses.replace(nlw.scenario_undamped_neumann(),
+                                          kappa1="5", m=4), cfg_file)
+    rc, _, manifest = run(tmp_path, "stall", command="solve",
+                          config=str(cfg_file))
+    assert rc == 3 and manifest["exit_code"] == 3
+    assert manifest["error"] == "homotopy stalled at lambda=0.2"
+    report = manifest["report"]
+    assert report["message"] == manifest["error"]
+    assert not report["converged"] and report["lambda_reached"] == 0.2
+    assert report["residual_equation"] is not None
+    assert manifest["outputs"] == []
+
+
+def test_axiom_failure_exits_2(tmp_path, monkeypatch):
+    # one gate that no table meets: s1_defect is a norm, never below zero
+    monkeypatch.setattr(cli, "AXIOM_THRESHOLDS", {"s1_defect": -1.0})
+    rc, out, manifest = run(tmp_path, "axfail", command="axioms",
+                            scenario="population", m="4")
+    assert rc == 2 and manifest["exit_code"] == 2
+    assert manifest["axiom_failures"] == {"s1_defect": -1.0}
+    assert manifest["outputs"] == ["axioms.json"]
+    assert manifest["axioms"] == json.loads((out / "axioms.json").read_text())
+    assert "error" not in manifest
+
+
 def test_config_with_misspelt_kind_exits_1(tmp_path):
     # before the check, kind "undampd" certified "1 + t" under the damped
     # symbols, so its declared a <= 1.5 was never tested
@@ -213,6 +242,9 @@ def test_overrides_validated(tmp_path):
     pytest.param({}, {"fs_step": 0.0}, id="file-fs_step-zero"),
     pytest.param({}, {"fs_step": -0.1}, id="file-fs_step-negative"),
     pytest.param({}, {"fs_step": 2.0}, id="file-fs_step-above-horizon"),
+    pytest.param({}, {"fs_step": 0.06}, id="file-fs_step-not-dividing"),
+    pytest.param({}, {"horizon": 1e300, "fs_step": 1e-300},
+                 id="file-fs_step-count-overflows"),
     pytest.param({}, {"m": 100000}, id="file-m-oversize"),
 ])
 def test_bad_numbers_exit_1(tmp_path, monkeypatch, flags, file_fields):

@@ -78,4 +78,4 @@ def test_depends_on():
 
 def test_constant_folding():
     e = parse_expression("2*3 + 0*t")
-    assert e.is_constant() and e() == 6.0
+    assert e.source == "6.0" and e() == 6.0

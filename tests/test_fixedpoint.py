@@ -3,7 +3,9 @@ import pytest
 
 import nonlocalwave as nlw
 from nonlocalwave import ConfigurationError, NonconvergenceError, quadrature
-from nonlocalwave.fixedpoint import growth_excess
+from nonlocalwave.fixedpoint import (MAX_ITER, REFINE_PROBES, FixedPointReport,
+                                     _homotopy, _nonlocal_data, _solution_map,
+                                     growth_excess)
 
 
 @pytest.fixture(scope="module")
@@ -216,18 +218,18 @@ def test_contraction_partition_matches_closed_form(harmonic_setup):
 
 
 def test_partition_consistent_with_single_interval(harmonic_setup):
-    # semigroup consistency: forced concatenation agrees with the plain solve
+    # semigroup consistency: at the global fixed point, the solution map by
+    # concatenation over four chunks gives the fixed point back
     basis, op, fs, T = harmonic_setup
     prob = make_problem(basis, op, T, 0.3, "1",
                         nl=nlw.linear_nonlinearity(0.2))
     tol = 1e-10
-    t_single, r_single = nlw.contraction_solve(prob, fs,
-                                               nlw.SolveConfig(tol=tol))
-    assert r_single.predicted_q < 1.0 and r_single.partition is None
-    t_chunk, r_chunk = nlw.contraction_solve(
-        prob, fs, nlw.SolveConfig(tol=tol, force_partition=4))
-    assert r_chunk.partition is not None
-    assert np.abs(t_single.u - t_chunk.u).max() < 10.0 * tol
+    w, rep = nlw.contraction_solve(prob, fs, nlw.SolveConfig(tol=tol))
+    assert rep.converged and rep.partition is None
+    x0, y0 = _nonlocal_data(prob, w, FixedPointReport("test", False, 0))
+    chunked = _solution_map(prob, fs, w, x0, y0,
+                            partition=[0, 16, 32, 48, 64], tol=tol)
+    assert np.abs(chunked.u - w.u).max() < 10.0 * tol
 
 
 def test_contraction_irreducible_nonlocal_part_still_converges(harmonic_setup):
@@ -245,10 +247,10 @@ def test_contraction_divergence_reports_history(harmonic_setup):
     basis, op, fs, T = harmonic_setup
     prob = make_problem(basis, op, T, 2.0, "1")   # spectral radius 2 sin T = 2
     with pytest.raises(NonconvergenceError) as exc:
-        nlw.contraction_solve(prob, fs, nlw.SolveConfig(max_iter=40))
+        nlw.contraction_solve(prob, fs)
     rep = exc.value.report
     assert rep is not None and not rep.converged
-    assert len(rep.update_norms) == 40
+    assert len(rep.update_norms) == rep.iterations == MAX_ITER
     assert rep.update_norms[-1] > rep.update_norms[2]
 
 
@@ -295,17 +297,11 @@ def test_relaxed_constant_g_two_iterations(harmonic_setup):
 def test_relaxed_homotopy_starts_at_zero(harmonic_setup):
     basis, op, fs, T = harmonic_setup
     prob = make_problem(basis, op, T, 0.5, "1")
-    traj, rep = nlw.relaxed_solve(prob, fs,
-                                  nlw.SolveConfig(homotopy="always"))
-    assert rep.homotopy_path[0] == (0.0, 0, 0.0)
+    rep = FixedPointReport("relaxed", False, 0)
+    traj, converged = _homotopy(prob, fs, 1e-8, rep, [])
+    assert converged and rep.homotopy_path[0] == (0.0, 0, 0.0)
     assert rep.lambda_reached == 1.0
     assert abs(traj.u[0, 0] - 2.0) < 1e-6
-
-
-@pytest.mark.parametrize("mode", ["never", "alwyas"])
-def test_solve_config_rejects_unknown_homotopy_mode(mode):
-    with pytest.raises(ConfigurationError, match="homotopy"):
-        nlw.SolveConfig(homotopy=mode)
 
 
 def test_stalled_homotopy_reports_measured_growth_excess(harmonic_setup,
@@ -325,7 +321,7 @@ def test_stalled_homotopy_reports_measured_growth_excess(harmonic_setup,
 
     monkeypatch.setattr(nlw.fixedpoint, "_finalise", spy)
     with pytest.raises(NonconvergenceError, match="homotopy stalled") as exc:
-        nlw.relaxed_solve(prob, fs, nlw.SolveConfig(homotopy="always"))
+        nlw.relaxed_solve(prob, fs)
     rep = exc.value.report
     assert rep.growth_excess > 0.0
     assert rep.growth_excess == growth_excess(nl, finalised[-1])
@@ -371,7 +367,7 @@ def test_galerkin_refine_diagonal_tails():
         prob = nlw.NonlocalProblem(op, basis, g, h, nlw.zero_nonlinearity(),
                                    1.0)
         traj, rep = nlw.contraction_solve(prob, fs)
-        return nlw.fixedpoint.RefinementLevel(m, basis, fs, traj, rep)
+        return nlw.fixedpoint.RefinementLevel(m, fs, traj, rep)
 
     table = nlw.galerkin_refine(solve_level, [2, 4, 6],
                                 rng=np.random.default_rng(1))
@@ -392,7 +388,7 @@ def test_galerkin_refine_equal_levels_zero_difference(harmonic_setup):
     def solve_level(m):
         prob = make_problem(basis, op, T, 0.3, "1")
         traj, rep = nlw.contraction_solve(prob, fs)
-        return nlw.fixedpoint.RefinementLevel(1, basis, fs, traj, rep)
+        return nlw.fixedpoint.RefinementLevel(1, fs, traj, rep)
 
     table = nlw.galerkin_refine(solve_level, [1, 1])
     assert table.rows[0].traj_diff == 0.0
@@ -407,7 +403,7 @@ def test_galerkin_refine_marks_failed_levels(harmonic_setup):
             raise NonconvergenceError("forced failure")
         prob = make_problem(basis, op, T, 0.3, "1")
         traj, rep = nlw.contraction_solve(prob, fs)
-        return nlw.fixedpoint.RefinementLevel(1, basis, fs, traj, rep)
+        return nlw.fixedpoint.RefinementLevel(1, fs, traj, rep)
 
     table = nlw.galerkin_refine(solve_level, [1, 2])
     assert not table.rows[0].converged
@@ -415,13 +411,14 @@ def test_galerkin_refine_marks_failed_levels(harmonic_setup):
 
 
 def test_block_bounds_computed_once_per_table(diag_fs):
-    from nonlocalwave.fixedpoint import _block_bounds
-    first = _block_bounds(diag_fs)
-    second = _block_bounds(diag_fs)
+    def block_bounds(fs):
+        return (*fs.first_column_bounds(), fs.duhamel_bound())
+    first = block_bounds(diag_fs)
+    second = block_bounds(diag_fs)
     assert first == second and all(isinstance(x, float) for x in first)
     fresh = nlw.FundamentalSolution(diag_fs.time_grid, diag_fs.m,
                                     diag_fs.kind, diag_fs.blocks, diag_fs.h)
-    assert _block_bounds(fresh) == first
+    assert block_bounds(fresh) == first
     # the definitions: sup_t ||C(t,0)||, sup_t ||S(t,0)||, M_{2,T}
     N = diag_fs.n_nodes
     assert first[0] == max(np.linalg.norm(diag_fs.C(i, 0), 2) for i in range(N))
@@ -438,12 +435,12 @@ def test_galerkin_fs_action_matches_per_pair_loop():
         op = nlw.undamped_operator(lambda t, _A=full[:m, :m]: (1 + t) * _A, m)
         fs = nlw.fundamental_solution(op, grid, h=1e-3)
         return nlw.fixedpoint.RefinementLevel(
-            m, None, fs, nlw.zero_trajectory(grid, m), None)
+            m, fs, nlw.zero_trajectory(grid, m), None)
 
-    table = nlw.galerkin_refine(solve_level, [2, 4], probe_count=3,
+    table = nlw.galerkin_refine(solve_level, [2, 4],
                                 rng=np.random.default_rng(9))
     coarse, fine = solve_level(2).fs, solve_level(4).fs
-    ys = np.random.default_rng(9).standard_normal((3, 4))
+    ys = np.random.default_rng(9).standard_normal((REFINE_PROBES, 4))
     ys /= np.linalg.norm(ys, axis=1, keepdims=True)
     expect = max(
         np.linalg.norm(fine.S(i, j) @ y

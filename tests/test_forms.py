@@ -157,35 +157,6 @@ def test_x_dependent_tabulation_keeps_its_quadrature_count(basis_pi8,
     assert np.array_equal(got.blocks, want.blocks)
 
 
-def test_build_Am_full_projection_is_identity(basis3):
-    A = nlw.assemble(form("1", "1"), basis3, 0.0)
-    Am = nlw.build_Am(A, basis3, 3, alpha=1.0)
-    np.testing.assert_allclose(Am, A)
-
-
-def test_build_Am_block_structure(basis3):
-    A = nlw.assemble(form("1", None), basis3, 0.0)
-    Am = nlw.build_Am(A, basis3, 2, alpha=1.0)
-    np.testing.assert_allclose(Am, np.diag([0.0, 1.0, 5.0]), atol=1e-12)
-    with pytest.raises(ConfigurationError):
-        nlw.build_Am(A, basis3, 4, alpha=1.0)
-
-
-def test_build_Am_acts_as_projected_operator(rng):
-    # for u in the resolved subspace, A_m u = P_m A u
-    b = nlw.build_basis(nlw.interval(np.pi), 8)
-    f = form("1 + cos(x)/2", "1")
-    A = nlw.assemble(f, b, 0.5)
-    m_sub = 5
-    Am = nlw.build_Am(A, b, m_sub, alpha=2.0)
-    for _ in range(5):
-        u = np.zeros(8)
-        u[:m_sub] = rng.standard_normal(m_sub)
-        full = A @ u
-        full[m_sub:] = 0.0                      # P_{m_sub} A u
-        np.testing.assert_allclose(Am @ u, full, atol=1e-12)
-
-
 def test_certify_shifted_coercivity():
     b = nlw.build_basis(nlw.interval(np.pi), 8)
     cert = nlw.certify(form("2", "1"), b, shift=1.0)
@@ -247,17 +218,6 @@ def test_coercivity_witnessed_on_random_vectors(basis_pi8, rng):
         _, v = nlw.norms(basis_pi8, u)
         quad = float(u @ A @ u) + cert.shift * float(u @ u)
         assert quad >= cert.coercivity_alpha * v ** 2 - 1e-10
-
-
-def test_projected_operator_inherits_constants(basis_pi8):
-    f = form("1 + t/2", "1")
-    cert = nlw.certify(f, basis_pi8)
-    alpha = 0.5
-    cert_m = nlw.certify_operator(
-        lambda t: nlw.build_Am(nlw.assemble(f, basis_pi8, t), basis_pi8, 5, alpha),
-        basis_pi8, 1.0)
-    assert cert_m.coercivity_alpha >= min(cert.coercivity_alpha, alpha) - 1e-10
-    assert cert_m.bound_c <= max(cert.bound_c, alpha) + 1e-10
 
 
 def test_kernel_lipschitz_zero(basis_pi8):

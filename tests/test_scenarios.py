@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nonlocalwave as nlw
 from nonlocalwave import ConfigurationError
@@ -133,6 +135,27 @@ def test_realize_rejects_zero_overrides(monkeypatch, override):
         nlw.realize(nlw.scenario_undamped_neumann(), **override)
 
 
+@pytest.mark.parametrize("fs_step", [0.06, 0.7])
+def test_realize_rejects_step_that_does_not_divide_horizon(monkeypatch,
+                                                           fs_step):
+    # the grid used to be rounded to the nearest node count: 0.06 solved on
+    # 18 nodes 1/17 apart, 0.7 on two nodes, while the manifest kept 0.06
+    def unreachable(*args, **kwargs):
+        raise AssertionError("build_basis reached")
+    monkeypatch.setattr(nlw.scenarios, "build_basis", unreachable)
+    with pytest.raises(ConfigurationError, match="does not divide"):
+        nlw.realize(nlw.scenario_undamped_neumann(), fs_step=fs_step)
+
+
+def test_realize_accepts_step_that_divides_horizon():
+    # the axioms grid, 0.1 T, on a horizon that no binary float divides
+    T = np.pi / 2
+    sc = dataclasses.replace(nlw.scenario_undamped_neumann(), horizon=T)
+    rz = nlw.realize(sc, m=2, fs_step=0.1 * T)
+    assert rz.grid.size == 11
+    np.testing.assert_allclose(np.diff(rz.grid), 0.1 * T, rtol=1e-12)
+
+
 def test_kind_damping_consistency_check():
     sc = nlw.scenario_population()
     bad = dataclasses.replace(sc, damping_coef=None)
@@ -156,6 +179,66 @@ def test_scenario_round_trip(tmp_path):
         assert back.manufactured_u == sc.manufactured_u
         assert back.horizon == sc.horizon
         assert set(back.bounds) == set(sc.bounds)
+
+
+def expression_texts():
+    leaves = st.one_of(
+        st.sampled_from(["t", "x", "y"]),
+        st.floats(-1e3, 1e3, allow_nan=False).map(repr))
+
+    def grow(sub):
+        return st.one_of(
+            st.tuples(sub, st.sampled_from("+-*/"), sub).map(
+                lambda p: f"({p[0]}) {p[1]} ({p[2]})"),
+            st.tuples(st.sampled_from(["cos", "sin", "exp", "-"]), sub).map(
+                lambda p: f"{p[0]}({p[1]})"))
+    return st.recursive(leaves, grow, max_leaves=6)
+
+
+sources = expression_texts().map(lambda text: nlw.parse_expression(text).source)
+positive = st.floats(1e-6, 1e6)
+limits = st.floats(-1e6, 1e6)
+
+
+@st.composite
+def scenarios(draw):
+    kind = draw(st.sampled_from(["undamped", "damped"]))
+    quad = draw(st.sampled_from([0, 0, 7, 40]))
+    domain = draw(st.one_of(
+        st.builds(nlw.interval, positive, st.just(quad)),
+        st.builds(nlw.rectangle, positive, positive, st.just(quad))))
+    symbols = draw(st.lists(
+        st.sampled_from(("a", "c", "sigma") if kind == "undamped"
+                        else ("d", "mu", "sigma")), unique=True, max_size=3))
+    bounds = tuple(draw(st.one_of(
+        st.tuples(st.just(sym), limits, st.none()),
+        st.tuples(st.just(sym), st.none(), limits),
+        st.tuples(st.just(sym), limits, limits))) for sym in symbols)
+    return nlw.Scenario(
+        name=draw(st.text(st.characters(min_codepoint=33, max_codepoint=126),
+                          min_size=1, max_size=12)),
+        kind=kind, engine=draw(st.sampled_from(["relaxed", "contraction"])),
+        domain=domain, gradient_coef=draw(sources),
+        zeroth_coef=draw(sources), damping_coef=draw(st.none() | sources),
+        nonlinearity=draw(st.sampled_from(["none", "tanh", "logistic"])),
+        kappa1=draw(sources), offset1=draw(st.none() | sources),
+        kappa2=draw(sources), offset2=draw(st.none() | sources),
+        horizon=draw(positive), m=draw(st.integers(1, 512)),
+        h=draw(positive), fs_step=draw(positive), bounds=bounds,
+        manufactured_u=draw(st.none() | sources))
+
+
+# constant folding may overflow (exp(exp(...))) and render "inf" or "nan"
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(sc=scenarios())
+@example(sc=dataclasses.replace(nlw.scenario_population(), name="100%"))
+def test_scenario_file_round_trip(tmp_path_factory, sc):
+    # names are printable ASCII without spaces, since a config value loses
+    # its outer whitespace; the example's "%" is no interpolation marker
+    path = tmp_path_factory.mktemp("round_trip") / "scenario.cfg"
+    nlw.save_scenario(sc, path)
+    assert nlw.load_scenario(path) == sc
 
 
 @pytest.mark.parametrize("line, typo", [("kind = undamped", "undampd"),

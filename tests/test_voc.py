@@ -207,9 +207,7 @@ def test_residual_exact_trajectory_second_order():
         grid = np.linspace(0.0, np.pi, n)
         traj = nlw.Trajectory(grid, np.cos(grid)[:, None],
                               -np.sin(grid)[:, None])
-        r = nlw.residual(traj, op, None, np.array([1.0]), np.array([0.0]))
-        errs.append(r.equation)
-        assert r.ic_u == 0.0 and r.ic_v == 0.0
+        errs.append(nlw.residual(traj, op))
     assert 3.0 < errs[0] / errs[1] < 5.0     # one halving: ~4x
 
 
@@ -222,17 +220,16 @@ def test_residual_of_solver_output():
     p = nlw.LinearProblem(op, np.array([1.0]), np.zeros(1),
                           lambda t: np.array([np.sin(2 * t)]), np.pi)
     traj = nlw.solve(p, fs, grid)
-    r = nlw.residual(traj, op, np.sin(2 * grid)[:, None], p.u0, p.u1)
-    assert r.equation < 1e-4
-    assert r.ic_u < 1e-12 and r.ic_v < 1e-12
+    assert nlw.residual(traj, op, np.sin(2 * grid)[:, None]) < 1e-4
+    assert np.abs(traj.u[0] - p.u0).max() < 1e-12
+    assert np.abs(traj.v[0] - p.u1).max() < 1e-12
 
 
 def test_residual_zero_everything():
     op = scalar_op(1.0)
     grid = np.linspace(0.0, 1.0, 11)
     traj = nlw.zero_trajectory(grid, 1)
-    r = nlw.residual(traj, op, None, np.zeros(1), np.zeros(1))
-    assert r.equation == 0.0 and r.ic_u == 0.0 and r.ic_v == 0.0
+    assert nlw.residual(traj, op) == 0.0
 
 
 def test_residual_semilinear_right_side(harmonic_fs):
@@ -244,8 +241,8 @@ def test_residual_semilinear_right_side(harmonic_fs):
     r = nlw.residual(traj, op, traj.u - np.cos(grid)[:, None])
     r2 = nlw.residual(traj, op, np.zeros_like(traj.u))
     r3 = nlw.residual(traj, op)
-    assert abs(r.equation - r2.equation) < 1e-12
-    assert r2.equation == r3.equation
+    assert abs(r - r2) < 1e-12
+    assert r2 == r3
     with pytest.raises(ConfigurationError):
         nlw.residual(traj, op, np.zeros(grid.size))
 
