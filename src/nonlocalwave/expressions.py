@@ -24,13 +24,22 @@ _FUNCTIONS = {"cos": np.cos, "sin": np.sin, "exp": np.exp}
 #   ("neg", a) ("call", fname, a)
 
 
+def _number(value):
+    """A number node; a literal such as 1e999 is rejected, because its
+    source would render as 'inf', which does not parse."""
+    value = float(value)
+    if not np.isfinite(value):
+        raise ExpressionError(f"non-finite number {value!r}")
+    return ("num", value)
+
+
 def _convert(node):
     if isinstance(node, ast.Expression):
         return _convert(node.body)
     if isinstance(node, ast.Constant):
         if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
             raise ExpressionError(f"non-numeric constant {node.value!r}")
-        return ("num", float(node.value))
+        return _number(node.value)
     if isinstance(node, ast.Name):
         if node.id not in _VARIABLES:
             raise ExpressionError(f"unknown variable {node.id!r}; allowed: t, x, y")
@@ -56,6 +65,15 @@ def _convert(node):
     raise ExpressionError(f"syntax {type(node).__name__} not in grammar")
 
 
+def _fold(node):
+    """A node over numbers only, as the number it evaluates to when that is
+    finite; otherwise the node itself (``exp(1000)``, ``1/0``), so that
+    every rendered number parses again."""
+    with np.errstate(all="ignore"):
+        value = float(_evaluate(node, {}))
+    return ("num", value) if np.isfinite(value) else node
+
+
 def _simplify(node):
     kind = node[0]
     if kind in ("num", "var"):
@@ -69,21 +87,14 @@ def _simplify(node):
         return ("neg", a)
     if kind == "call":
         a = _simplify(node[2])
-        if a[0] == "num":
-            return ("num", float(_FUNCTIONS[node[1]](a[1])))
-        return ("call", node[1], a)
+        node = ("call", node[1], a)
+        return _fold(node) if a[0] == "num" else node
     a, b = _simplify(node[1]), _simplify(node[2])
     na, nb = a[0] == "num", b[0] == "num"
     if na and nb:
-        va, vb = a[1], b[1]
-        if kind == "add":
-            return ("num", va + vb)
-        if kind == "sub":
-            return ("num", va - vb)
-        if kind == "mul":
-            return ("num", va * vb)
-        if vb != 0.0:
-            return ("num", va / vb)
+        folded = _fold((kind, a, b))
+        if folded[0] == "num":
+            return folded
     if kind == "add":
         if na and a[1] == 0.0:
             return b
@@ -257,7 +268,7 @@ def as_expression(value):
     if isinstance(value, Expression):
         return value
     if isinstance(value, (int, float)):
-        return Expression(("num", float(value)))
+        return Expression(_number(value))
     if isinstance(value, str):
         return parse_expression(value)
     raise ExpressionError(f"cannot interpret {value!r} as an expression")

@@ -25,7 +25,7 @@ import numpy as np
 from . import forms, quadrature, voc
 from .errors import ConfigurationError, NonconvergenceError
 from .expressions import Expression, as_expression
-from .spectral import Trajectory, project, zero_trajectory
+from .spectral import Trajectory, node_samples, project, zero_trajectory
 
 MAX_ITER = 200          # global iterations of either engine
 SAFETY = 0.9            # largest local coefficient a partition may leave
@@ -42,41 +42,43 @@ REFINE_PROBES = 5       # random unit probes y of galerkin_refine's action diff
 class NonlocalKernel:
     """g(u) = int_0^T kappa(s, .) u(s, .) ds + offset.
 
-    ``evaluator(s, x, y)`` takes a scalar time or an (N, 1) column of times
-    and returns values that broadcast against ``x``, to (N, Q) for a column.
+    ``expression`` is kappa, with the time variable written as t, and
+    ``horizon`` is T, finite and positive.  ``offset`` is None, an
+    :class:`Expression` of x[, y], or an (m,) array of basis coefficients.
     """
 
-    evaluator: Callable          # (s, x, y) -> values
+    expression: Expression
     horizon: float
-    offset: object = None        # spatial callable/Expression/coeff array/None
-    expression: Expression | None = None
+    offset: object = None
+
+    def __post_init__(self):
+        if not 0 < self.horizon < np.inf:
+            raise ConfigurationError(
+                f"kernel horizon must be finite and positive, got "
+                f"{self.horizon!r}")
+
+    def evaluator(self, s, x, y=None):
+        """kappa at a scalar time or an (N, 1) column of times: values that
+        broadcast against ``x``, to (N, Q) for a column."""
+        return self.expression(t=s, x=x, y=0.0 if y is None else y)
 
     def offset_coeffs(self, basis):
         if self.offset is None:
             return np.zeros(basis.m)
-        if isinstance(self.offset, np.ndarray):
-            if self.offset.shape != (basis.m,):
-                raise ConfigurationError("offset coefficients do not match basis")
-            return self.offset
         if isinstance(self.offset, Expression):
-            e = self.offset
-            return project(basis, lambda x, y=None:
-                           np.broadcast_to(e(t=0.0, x=x,
-                                             y=0.0 if y is None else y),
-                                           np.shape(x)))
-        return project(basis, self.offset)
+            return project(basis, node_samples(basis, self.offset))
+        if np.shape(self.offset) != (basis.m,):
+            raise ConfigurationError("offset coefficients do not match basis")
+        return self.offset
 
 
 def nonlocal_kernel(expr, horizon, offset=None):
-    """Kernel from an expression (time variable written as t) or callable."""
-    if callable(expr) and not isinstance(expr, (Expression, str)):
-        return NonlocalKernel(lambda s, x, y=None: expr(s, x, y), horizon, offset)
-    e = as_expression(expr)
-    if isinstance(offset, (str, Expression)):
+    """Kernel from an expression (time variable written as t); a string or
+    number offset is read as an expression of x[, y], an array is kept as
+    basis coefficients."""
+    if offset is not None and not isinstance(offset, np.ndarray):
         offset = as_expression(offset)
-    return NonlocalKernel(
-        lambda s, x, y=None: e(t=s, x=x, y=0.0 if y is None else y),
-        horizon, offset, expression=e)
+    return NonlocalKernel(as_expression(expr), horizon, offset)
 
 
 def apply_kernel(kernel, traj, basis):
@@ -90,7 +92,7 @@ def apply_kernel(kernel, traj, basis):
     if grid.size < 5:
         raise ConfigurationError(
             "trajectory grid too coarse for the kernel quadrature (need >= 5 nodes)")
-    if abs(grid[0]) > 1e-12 or abs(grid[-1] - kernel.horizon) > 1e-9:
+    if not (abs(grid[0]) <= 1e-12 and abs(grid[-1] - kernel.horizon) <= 1e-9):
         raise ConfigurationError("trajectory must cover [0, T] of the kernel")
     w = quadrature.composite_weights(grid)
     kappa = kernel.evaluator(grid[:, None], basis.nodes_x, basis.nodes_y)

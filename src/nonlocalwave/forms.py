@@ -17,7 +17,6 @@ in a parabola) and certificates record it as such.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -32,30 +31,25 @@ KERNEL_TIME_SAMPLES = 129  # times of kernel_lipschitz's L2-in-time norms
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """A scalar coefficient (t, x[, y]) -> real with declared bounds."""
+    """A scalar coefficient: an expression of (t, x[, y]) with declared
+    bounds.  Calling it evaluates the expression at a time and points
+    (y = 0 on an interval) as floats of the points' shape."""
 
     symbol: str
-    evaluator: Callable
+    expression: Expression
     lower: float | None = None
     upper: float | None = None
-    expression: Expression | None = None   # None for a callable coefficient
 
     def __call__(self, t, x, y=None):
+        values = self.expression(t=t, x=x, y=0.0 if y is None else y)
         return np.broadcast_to(
-            np.asarray(self.evaluator(t, x, y), dtype=float), np.shape(x)).copy()
+            np.asarray(values, dtype=float), np.shape(x)).copy()
 
 
 def coefficient_field(symbol, expr, lower=None, upper=None):
-    """Build a coefficient field from an expression string/number/callable."""
-    if callable(expr) and not isinstance(expr, Expression):
-        return CoefficientField(symbol, lambda t, x, y=None: expr(t, x, y),
-                                lower, upper)
-    e = as_expression(expr)
-
-    def evaluator(t, x, y=None):
-        return e(t=t, x=x, y=0.0 if y is None else y)
-
-    return CoefficientField(symbol, evaluator, lower, upper, expression=e)
+    """Build a coefficient field from an expression string, number or
+    :class:`Expression`; anything else raises ``ExpressionError``."""
+    return CoefficientField(symbol, as_expression(expr), lower, upper)
 
 
 def validate_coefficient(field, basis, horizon):
@@ -188,12 +182,12 @@ def _affine_part(coef, tables, basis):
     """Time -> one coefficient's Gram matrix.
 
     An expression over t alone gives c(t) K, with K its Gram matrix at
-    c = 1 built here once.  Any other coefficient (over x or y, or a
-    callable) is assembled by quadrature at each t, as :func:`assemble`
-    does, and gives its matrices bit for bit.
+    c = 1 built here once.  An expression over x or y is assembled by
+    quadrature at each t, as :func:`assemble` does, and gives its matrices
+    bit for bit.
     """
     e = coef.expression
-    if e is None or e.depends_on("x") or e.depends_on("y"):
+    if e.depends_on("x") or e.depends_on("y"):
         return lambda t: _coefficient_gram(coef, tables, basis, t)
     K = _gram(tables, basis, 1.0)
     return lambda t: e(t=t) * K
@@ -209,14 +203,14 @@ def _affine_supplier(parts, basis):
     """
     m = basis.m
     parts = [(coef, _affine_part(coef, tables, basis)) for coef, tables in parts]
-    pieces = [part(0.0) if coef.expression is not None
-              and not coef.expression.depends_on("t") else part
+    pieces = [part if coef.expression.depends_on("t")
+              else (lambda t, fixed=part(0.0): fixed)
               for coef, part in parts]
 
     def supplier(t):
         entries = np.zeros((m, m))
         for piece in pieces:
-            entries += piece(t) if callable(piece) else piece
+            entries += piece(t)
         if np.isfinite(entries).all():
             return entries
         return _checked_sum([(coef, part(t)) for coef, part in parts], m, t)
@@ -355,26 +349,16 @@ class KernelConstants:
 
 
 def _kernel_gradient_samples(kernel, t, xs, ys):
-    """|grad kappa| at an (N, 1) time column and the points (xs, ys): (N, P)."""
+    """|grad kappa| at an (N, 1) time column and the points (xs, ys): (N, P),
+    from the exact symbolic derivatives of the kernel's expression."""
     shape = (t.shape[0], xs.size)
-    expr = getattr(kernel, "expression", None)
-    if expr is not None:
-        gx = expr.diff("x")(t=t, x=xs, y=0.0 if ys is None else ys)
-        gx = np.broadcast_to(np.asarray(gx, dtype=float), shape)
-        if ys is None:
-            return np.abs(gx)
-        gy = expr.diff("y")(t=t, x=xs, y=ys)
-        gy = np.broadcast_to(np.asarray(gy, dtype=float), shape)
-        return np.hypot(gx, gy)
-    # central differences for opaque callables
-    eps = 1e-6
-    ev = kernel.evaluator
-    gx = (np.asarray(ev(t, xs + eps, ys)) - np.asarray(ev(t, xs - eps, ys))) / (2 * eps)
-    gx = np.broadcast_to(gx, shape)
+    expr = kernel.expression
+    gx = expr.diff("x")(t=t, x=xs, y=0.0 if ys is None else ys)
+    gx = np.broadcast_to(np.asarray(gx, dtype=float), shape)
     if ys is None:
         return np.abs(gx)
-    gy = (np.asarray(ev(t, xs, ys + eps)) - np.asarray(ev(t, xs, ys - eps))) / (2 * eps)
-    gy = np.broadcast_to(gy, shape)
+    gy = expr.diff("y")(t=t, x=xs, y=ys)
+    gy = np.broadcast_to(np.asarray(gy, dtype=float), shape)
     return np.hypot(gx, gy)
 
 

@@ -18,7 +18,8 @@ import numpy as np
 from . import fixedpoint, forms, propagator
 from .errors import ConfigurationError
 from .expressions import as_expression
-from .spectral import SpatialDomain, Trajectory, build_basis, interval, project
+from .spectral import (SpatialDomain, Trajectory, build_basis, interval,
+                       node_samples, project)
 
 _NONLINEARITIES = ("none", "tanh", "logistic")
 _KINDS = ("undamped", "damped")
@@ -158,15 +159,6 @@ def build_form(scenario):
     return forms.FormSpec(*fields, horizon=scenario.horizon)
 
 
-def _node_samples(basis, expr, t):
-    """Values of an expression of (t, x[, y]) at the quadrature nodes:
-    shape (Q,) for a scalar t, (N, Q) for an (N, 1) time column."""
-    vals = expr(t=t, x=basis.nodes_x,
-                y=0.0 if basis.nodes_y is None else basis.nodes_y)
-    return np.broadcast_to(np.asarray(vals, dtype=float),
-                           np.broadcast_shapes(np.shape(t), basis.nodes_x.shape))
-
-
 def realize(scenario, m=None, h=None, fs_step=None, span_tol=1e-8, seed=0):
     """Build basis, operators, tables and the nonlocal problem.
 
@@ -217,10 +209,10 @@ def realize(scenario, m=None, h=None, fs_step=None, span_tol=1e-8, seed=0):
         exact = (ustar, ut)
 
         def coeffs_of(expr, t):
-            return project(basis, _node_samples(basis, expr, t))
+            return project(basis, node_samples(basis, expr, t))
 
         # spatial span check: compare u* against its projection in L2
-        vals = _node_samples(basis, ustar, np.linspace(0.0, T, 5)[:, None])
+        vals = node_samples(basis, ustar, np.linspace(0.0, T, 5)[:, None])
         back = basis.evaluate(project(basis, vals))
         span_defect = float(np.max(np.sqrt(
             np.sum(basis.weights * np.abs(vals - back) ** 2, axis=1))))
@@ -278,7 +270,7 @@ def manufactured_errors(rz, traj):
         raise ConfigurationError("realization has no manufactured solution")
     ustar, _ = rz.exact
     basis = rz.basis
-    vals = _node_samples(basis, ustar, traj.grid[:, None])
+    vals = node_samples(basis, ustar, traj.grid[:, None])
     sup_coef = float(np.max(np.linalg.norm(traj.u - project(basis, vals),
                                            axis=1)))
     diff = basis.evaluate(traj.u) - vals

@@ -92,12 +92,6 @@ class SpectralBasis:
                 f"coefficient length {coeffs.shape[-1]} does not match m={self.m}")
         return coeffs @ self.eval_table
 
-    def eval_function(self, f):
-        """Sample a callable f(x[, y]) at the quadrature nodes."""
-        if self.nodes_y is None:
-            return np.asarray(f(self.nodes_x))
-        return np.asarray(f(self.nodes_x, self.nodes_y))
-
 
 def _interval_tables(L, m, q):
     x, w = np.polynomial.legendre.leggauss(q)
@@ -160,21 +154,26 @@ def build_basis(domain, m):
     return basis
 
 
-def project(basis, f):
-    """Project point samples onto the basis: k-th entry is <f, Psi_k>_H.
+def node_samples(basis, expr, t=0.0):
+    """Values of an expression of (t, x[, y]) at the quadrature nodes:
+    shape (Q,) for a scalar t, (N, Q) for an (N, 1) time column."""
+    vals = expr(t=t, x=basis.nodes_x,
+                y=0.0 if basis.nodes_y is None else basis.nodes_y)
+    return np.broadcast_to(np.asarray(vals, dtype=float),
+                           np.broadcast_shapes(np.shape(t), basis.nodes_x.shape))
 
-    ``f`` may be a callable of the spatial coordinates or an array of values
-    at the quadrature nodes.  An array may stack samples along leading axes,
-    shape (..., Q); the result then has shape (..., m), one projection per
-    stacked row.
+
+def project(basis, f):
+    """Project node samples onto the basis: k-th entry is <f, Psi_k>_H.
+
+    ``f`` holds values at the quadrature nodes (see :func:`node_samples`),
+    shape (Q,), or stacked along leading axes, shape (..., Q); the result
+    then has shape (..., m), one projection per stacked row.
     """
-    if callable(f):
-        samples = basis.eval_function(f)
-    else:
-        samples = np.asarray(f)
-        if samples.shape[-1:] != basis.nodes_x.shape:
-            raise ConfigurationError(
-                f"expected {basis.nodes_x.size} node samples, got {samples.shape}")
+    samples = np.asarray(f)
+    if samples.shape[-1:] != basis.nodes_x.shape:
+        raise ConfigurationError(
+            f"expected {basis.nodes_x.size} node samples, got {samples.shape}")
     if not np.all(np.isfinite(samples)):
         raise ConfigurationError("non-finite sample values in projection input")
     return samples @ basis._proj.T

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import nonlocalwave as nlw
-from nonlocalwave import ConfigurationError, NonconvergenceError, quadrature
+from nonlocalwave import (ConfigurationError, ExpressionError,
+                          NonconvergenceError, quadrature)
 from nonlocalwave.fixedpoint import (MAX_ITER, REFINE_PROBES, FixedPointReport,
                                      _homotopy, _nonlocal_data, _solution_map,
                                      growth_excess)
@@ -79,6 +80,48 @@ def test_apply_kernel_grid_requirements(scalar_basis):
                          scalar_basis)
 
 
+@pytest.mark.parametrize("horizon", [np.nan, np.inf, 0.0, -1.0])
+def test_kernel_horizon_must_be_finite_and_positive(horizon):
+    with pytest.raises(ConfigurationError, match="horizon"):
+        nlw.nonlocal_kernel("0.5", horizon)
+
+
+def test_apply_kernel_rejects_a_nan_horizon(scalar_basis):
+    # the endpoint check itself must not let NaN through
+    k = nlw.nonlocal_kernel("0.5", 1.0)
+    k.horizon = np.nan
+    traj = nlw.zero_trajectory(np.linspace(0.0, 1.0, 33), 1)
+    with pytest.raises(ConfigurationError, match=r"cover \[0, T\]"):
+        nlw.apply_kernel(k, traj, scalar_basis)
+
+
+def test_numeric_offset_is_a_constant_function(basis_pi8):
+    # 1 = sqrt(pi) * Psi_0 on (0, pi)
+    c = nlw.nonlocal_kernel("0.5", 1.0, offset=1).offset_coeffs(basis_pi8)
+    assert np.isclose(c[0], np.sqrt(np.pi), rtol=1e-13)
+    assert np.max(np.abs(c[1:])) < 1e-13
+
+
+def test_expression_offset_on_a_rectangle():
+    # on (0, 1) x (0, 2) the (1, 0) mode is sqrt(2) cos(pi x) / sqrt(2)
+    basis = nlw.build_basis(nlw.rectangle(1.0, 2.0), 6)
+    k = nlw.nonlocal_kernel("0", 1.0, offset="cos(3.141592653589793*x)")
+    want = np.zeros(6)
+    want[basis.modes.index((1, 0))] = 1.0
+    np.testing.assert_allclose(k.offset_coeffs(basis), want, rtol=0,
+                               atol=1e-13)
+
+
+def test_kernels_and_offsets_are_expressions(scalar_basis):
+    with pytest.raises(ExpressionError):
+        nlw.nonlocal_kernel(lambda s, x, y: 0.5 + 0.0 * x, 1.0)
+    with pytest.raises(ExpressionError):
+        nlw.nonlocal_kernel("0.5", 1.0, offset=lambda x, y=None: x)
+    k = nlw.nonlocal_kernel("0.5", 1.0, offset=np.ones(2))
+    with pytest.raises(ConfigurationError, match="offset"):
+        k.offset_coeffs(scalar_basis)
+
+
 def test_superpose_zero_and_identity(scalar_basis):
     grid = np.linspace(0.0, 1.0, 9)
     traj = nlw.Trajectory(grid, np.linspace(0, 1, 9)[:, None],
@@ -148,15 +191,13 @@ def per_node_kernel(kernel, traj, basis):
 
 @pytest.mark.parametrize("domain", [nlw.interval(np.pi),
                                     nlw.rectangle(1.0, 2.0)])
-@pytest.mark.parametrize("kind", ["time-only", "x-dependent", "callable"])
+@pytest.mark.parametrize("kind", ["time-only", "x-dependent"])
 def test_apply_kernel_matches_per_node_gram(kind, domain):
     basis = nlw.build_basis(domain, 7)
     T = 1.5
     kernel = {
         "time-only": nlw.nonlocal_kernel("exp(-t)/2", T, offset="cos(x)"),
-        "x-dependent": nlw.nonlocal_kernel("exp(-t)*cos(x) + t*x*y", T),
-        "callable": nlw.nonlocal_kernel(
-            lambda s, x, y: np.exp(-s) * (1.0 + x ** 2), T)}[kind]
+        "x-dependent": nlw.nonlocal_kernel("exp(-t)*cos(x) + t*x*y", T)}[kind]
     grid = np.linspace(0.0, T, 26)     # odd interval count: the 3/8 panel
     u = np.random.default_rng(6).standard_normal((grid.size, basis.m))
     traj = nlw.Trajectory(grid, u, np.zeros_like(u))
@@ -360,9 +401,7 @@ def test_galerkin_refine_diagonal_tails():
         op = nlw.undamped_operator(
             lambda t, _A=np.diag(lam_full[:m]): _A, m)
         fs = nlw.fundamental_solution(op, grid, h=1e-3)
-        g = nlw.NonlocalKernel(lambda s, x, y=None: 0.0 * x, 1.0,
-                               offset=beta[:m],
-                               expression=nlw.parse_expression("0"))
+        g = nlw.nonlocal_kernel("0", 1.0, offset=beta[:m])
         h = nlw.nonlocal_kernel("0", 1.0)
         prob = nlw.NonlocalProblem(op, basis, g, h, nlw.zero_nonlinearity(),
                                    1.0)

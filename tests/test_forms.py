@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import nonlocalwave as nlw
-from nonlocalwave import CertificationError, ConfigurationError, forms, quadrature
+from nonlocalwave import (CertificationError, ConfigurationError,
+                          ExpressionError, forms, quadrature)
 from nonlocalwave.forms import vvprime_norm
 
 
@@ -74,12 +75,13 @@ def test_non_finite_assembly_names_its_coefficient(basis3):
                 call(0.2)
 
 
-def test_callable_coefficient_stays_on_quadrature(basis3):
-    a = nlw.coefficient_field("a", lambda t, x, y: 1.0 + t * np.cos(x))
-    f = nlw.FormSpec(a, None, None, 1.0)
-    assert a.expression is None
-    assert np.array_equal(nlw.stiffness_supplier(f, basis3)(0.3),
-                          nlw.assemble(f, basis3, 0.3))
+def test_coefficients_are_expressions():
+    a = nlw.coefficient_field("a", "1 + t*cos(x)", lower=0.0)
+    assert a.expression.source == "1.0 + t*cos(x)"
+    np.testing.assert_array_equal(a(0.5, np.array([0.0, np.pi])), [1.5, 0.5])
+    for bad in (lambda t, x, y: 1.0 + t * np.cos(x), None, [1.0]):
+        with pytest.raises(ExpressionError):
+            nlw.coefficient_field("a", bad)
 
 
 SUPPLIER_COEFFICIENTS = ["1 + t/2", "(1 + t)*(2 + cos(x))",
@@ -244,7 +246,7 @@ def test_kernel_lipschitz_gradient(basis_pi8):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_kernel_lipschitz_rejects_nonfinite(basis_pi8):
-    k = nlw.NonlocalKernel(lambda s, x, y=None: x / (s - 0.5), 1.0)
+    k = nlw.nonlocal_kernel("x/(t - 0.5)", 1.0)
     with pytest.raises(ConfigurationError):
         nlw.kernel_lipschitz(k, basis_pi8)
 
@@ -264,15 +266,9 @@ def kernel_lipschitz_per_sample(kernel, basis):
     for t in times:
         vals = np.broadcast_to(kernel.evaluator(t, xs, ys), xs.shape)
         sup_val.append(np.abs(vals).max())
-        if kernel.expression is not None:
-            e = kernel.expression
-            gx = e.diff("x")(t=t, x=xs, y=0.0 if ys is None else ys)
-            gy = 0.0 if ys is None else e.diff("y")(t=t, x=xs, y=ys)
-        else:
-            eps, ev = 1e-6, kernel.evaluator
-            gx = (ev(t, xs + eps, ys) - ev(t, xs - eps, ys)) / (2 * eps)
-            gy = 0.0 if ys is None else \
-                (ev(t, xs, ys + eps) - ev(t, xs, ys - eps)) / (2 * eps)
+        e = kernel.expression
+        gx = e.diff("x")(t=t, x=xs, y=0.0 if ys is None else ys)
+        gy = 0.0 if ys is None else e.diff("y")(t=t, x=xs, y=ys)
         sup_grad.append(np.broadcast_to(np.hypot(gx, gy), xs.shape).max())
     w = quadrature.composite_weights(times)
     return (np.sqrt(np.sum(w * np.square(sup_val))),
@@ -282,8 +278,6 @@ def kernel_lipschitz_per_sample(kernel, basis):
 KERNELS = {
     "time-only": "exp(-t)",
     "x-dependent": "(1 + t)*cos(x)*cos(y) + sin(2*t)*x",
-    "callable": lambda s, x, y: np.exp(-s) * np.sin(x)
-    * (1.0 if y is None else np.cos(y)),
 }
 
 
@@ -303,6 +297,6 @@ def test_kernel_lipschitz_matches_per_sample_loop(name, domain):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_kernel_lipschitz_names_first_nonfinite_time(basis_pi8):
     # finite up to t = 0.75 exclusive; the sample times are k/128
-    k = nlw.NonlocalKernel(lambda s, x, y=None: x * np.log(0.75 - s), 1.0)
+    k = nlw.nonlocal_kernel("x/(t - 0.75)", 1.0)
     with pytest.raises(ConfigurationError, match=r"t=0\.75$"):
         nlw.kernel_lipschitz(k, basis_pi8)

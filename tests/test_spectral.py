@@ -64,11 +64,17 @@ def test_build_basis_rejects_a_nan_gram_defect():
 
 
 def test_project_zero(basis_pi8):
-    np.testing.assert_allclose(nlw.project(basis_pi8, lambda x: 0.0 * x), 0.0)
+    samples = np.zeros(basis_pi8.nodes_x.size)
+    np.testing.assert_allclose(nlw.project(basis_pi8, samples), 0.0)
+
+
+def test_project_takes_node_samples_only(basis_pi8):
+    with pytest.raises(ConfigurationError, match="node samples"):
+        nlw.project(basis_pi8, np.cos)
 
 
 def test_project_cosine(basis_pi8):
-    c = nlw.project(basis_pi8, np.cos)
+    c = nlw.project(basis_pi8, np.cos(basis_pi8.nodes_x))
     assert np.isclose(c[1], np.sqrt(np.pi / 2), atol=1e-12)
     others = np.delete(c, 1)
     assert np.max(np.abs(others)) < 1e-12
