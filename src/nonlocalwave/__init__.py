@@ -7,8 +7,8 @@ from .expressions import Expression, as_expression, parse_expression
 from .spectral import (SpatialDomain, SpectralBasis, Trajectory, build_basis,
                        interval, norms, project, rectangle, zero_trajectory)
 from .forms import (CoefficientField, FormCertificate, FormSpec,
-                    KernelConstants, assemble,
-                    assemble_damping, certify, certify_operator,
+                    KernelConstants, assemble, assemble_damping,
+                    block_operator, certify, certify_operator,
                     coefficient_field, kernel_lipschitz, stiffness_supplier,
                     damping_supplier)
 from .propagator import (AxiomReport, BlockOperator, FundamentalSolution,

@@ -105,14 +105,18 @@ def _simplify(node):
             return a
         if na and a[1] == 0.0:
             return ("neg", b)
+    # 0*a and 0/a are 0 only where a is finite (and a != 0 for 0/a), so a
+    # zero absorbs only a number or a bare variable, and divides only a
+    # nonzero number: x/(t - 0.5)*0 stays nan at t = 0.5
     if kind == "mul":
-        if (na and a[1] == 0.0) or (nb and b[1] == 0.0):
+        if (na and a[1] == 0.0 and b[0] in ("num", "var")) or \
+                (nb and b[1] == 0.0 and a[0] in ("num", "var")):
             return ("num", 0.0)
         if na and a[1] == 1.0:
             return b
         if nb and b[1] == 1.0:
             return a
-    if kind == "div" and na and a[1] == 0.0:
+    if kind == "div" and na and a[1] == 0.0 and nb and b[1] != 0.0:
         return ("num", 0.0)
     if kind == "div" and nb and b[1] == 1.0:
         return a

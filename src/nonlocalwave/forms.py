@@ -3,7 +3,9 @@
 A form a(t; u, v) = int a(t,x) grad(u).grad(v) + int c(t,x) u v is assembled
 against a :class:`~nonlocalwave.spectral.SpectralBasis` by quadrature.  The
 time-stepping suppliers assemble a coefficient that depends on t alone as
-c(t) K, from a Gram matrix K built once per basis.  The module also certifies,
+c(t) K, from a Gram matrix K built once per basis; where every K is diagonal,
+:func:`block_operator` also hands the propagator the diagonals of A(t) and
+B(t), which it then integrates mode by mode.  The module also certifies,
 numerically, the hypotheses the solver relies on: uniform boundedness
 (operator norm measured V -> V' in coordinates), (possibly shifted)
 coercivity, the time-regularity modulus omega with its two Dini integrals,
@@ -20,9 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quadrature
+from . import propagator, quadrature
 from .errors import CertificationError, ConfigurationError
 from .expressions import Expression, as_expression
+from .spectral import GRAM_TOL
 
 BOUND_CHECK_TOL = 1e-12
 FORM_TIME_SAMPLES = 33     # times at which coefficients and forms are checked
@@ -179,33 +182,48 @@ def assemble_damping(form, basis, t):
 
 
 def _affine_part(coef, tables, basis):
-    """Time -> one coefficient's Gram matrix.
+    """(time -> one coefficient's Gram matrix, K or None).
 
     An expression over t alone gives c(t) K, with K its Gram matrix at
     c = 1 built here once.  An expression over x or y is assembled by
     quadrature at each t, as :func:`assemble` does, and gives its matrices
-    bit for bit.
+    bit for bit; its K is None.
     """
     e = coef.expression
     if e.depends_on("x") or e.depends_on("y"):
-        return lambda t: _coefficient_gram(coef, tables, basis, t)
+        return (lambda t: _coefficient_gram(coef, tables, basis, t)), None
     K = _gram(tables, basis, 1.0)
-    return lambda t: e(t=t) * K
+    return (lambda t: e(t=t) * K), K
+
+
+def _is_diagonal(K):
+    """Whether K's off-diagonal part is within GRAM_TOL of its largest
+    entry, as the Gram matrices of the eigenbasis are."""
+    off = np.abs(K - np.diag(np.diagonal(K)))
+    return bool(off.max() <= GRAM_TOL * np.abs(K).max())
 
 
 def _affine_supplier(parts, basis):
-    """Time -> the sum of the coefficients' Gram matrices.
+    """(time -> the sum of the coefficients' Gram matrices, diagonal terms).
 
     The piece of a coefficient expression without t is made here once; the
     others are made at each call and added in the same order, so the sum is
     :func:`_checked_sum`'s bit for bit.  A non-finite sum goes through
-    :func:`_checked_sum`, which names the coefficient.
+    :func:`_checked_sum`, which names the coefficient.  The terms are the
+    :class:`~nonlocalwave.propagator.Diagonals` terms (c, diag K) of the
+    same sum when every coefficient is over t alone and every K is
+    diagonal, else None.
     """
     m = basis.m
-    parts = [(coef, _affine_part(coef, tables, basis)) for coef, tables in parts]
+    parts = [(coef, *_affine_part(coef, tables, basis))
+             for coef, tables in parts]
     pieces = [part if coef.expression.depends_on("t")
               else (lambda t, fixed=part(0.0): fixed)
-              for coef, part in parts]
+              for coef, part, _ in parts]
+    terms = None
+    if all(K is not None and _is_diagonal(K) for _, _, K in parts):
+        terms = tuple((coef.expression, np.diagonal(K).copy())
+                      for coef, _, K in parts)
 
     def supplier(t):
         entries = np.zeros((m, m))
@@ -213,9 +231,9 @@ def _affine_supplier(parts, basis):
             entries += piece(t)
         if np.isfinite(entries).all():
             return entries
-        return _checked_sum([(coef, part(t)) for coef, part in parts], m, t)
+        return _checked_sum([(coef, part(t)) for coef, part, _ in parts], m, t)
 
-    return supplier
+    return supplier, terms
 
 
 def stiffness_supplier(form, basis):
@@ -225,7 +243,7 @@ def stiffness_supplier(form, basis):
     an m x m scaling of a Gram matrix built here; any other is assembled by
     quadrature at each t, as :func:`assemble` does.
     """
-    return _affine_supplier(_stiffness_parts(form, basis), basis)
+    return _affine_supplier(_stiffness_parts(form, basis), basis)[0]
 
 
 def damping_supplier(form, basis):
@@ -233,7 +251,23 @@ def damping_supplier(form, basis):
     :func:`stiffness_supplier`; None for an undamped form."""
     if form.damping_coef is None:
         return None
-    return _affine_supplier(_damping_parts(form, basis), basis)
+    return _affine_supplier(_damping_parts(form, basis), basis)[0]
+
+
+def block_operator(form, basis):
+    """The :class:`~nonlocalwave.propagator.BlockOperator` of a form: the
+    suppliers of A(t) and B(t), and, when every coefficient is over t alone
+    and every Gram matrix K is diagonal (the eigenbasis' are, up to
+    quadrature rounding), the diagonals sum_r c_r(t) diag K_r of both,
+    made from the same K's."""
+    a_of_t, a_terms = _affine_supplier(_stiffness_parts(form, basis), basis)
+    b_of_t, b_terms = None, None
+    if form.damping_coef is not None:
+        b_of_t, b_terms = _affine_supplier(_damping_parts(form, basis), basis)
+    diagonals = None
+    if a_terms is not None and (b_of_t is None or b_terms is not None):
+        diagonals = propagator.Diagonals(a_terms, b_terms)
+    return propagator.BlockOperator(a_of_t, b_of_t, basis.m, diagonals)
 
 
 def vvprime_norm(entries, v_weights):

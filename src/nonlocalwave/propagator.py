@@ -19,6 +19,14 @@ rounding, and the axiom checks measure genuine integrator defects.
 The integrator is the classical explicit fourth-order one-step method with
 the matrix evaluated at the stage times; the step is fixed and validated
 against the spectral radius of A before each run.
+
+An operator whose A(t) and B(t) are diagonal at every t, as a form with
+coefficients over t alone gives on the Neumann eigenbasis, carries its
+:class:`Diagonals`.  Its system is then m independent 2 x 2 systems, one per
+mode, and its interval maps are integrated as one (N - 1, m, 2, 2) stack,
+O(N m) per substep instead of O(N m^3) in all; the table keeps the stack as
+``modes`` and takes its bounds from it.  Every other operator, and a table
+read by :func:`load_fs`, keeps the dense maps alone.
 """
 
 from __future__ import annotations
@@ -50,12 +58,47 @@ _MAGIC = b"NLWFS002"
 
 
 @dataclass(frozen=True)
+class Diagonals:
+    """The diagonals of A(t) and B(t) of an operator whose matrices are
+    diagonal at every t, each a sum of theta(t) d over its terms.
+
+    ``a_terms`` and ``b_terms`` (None for an undamped operator) hold
+    (theta, d) pairs: theta maps an array of times to values of its shape
+    (or to one number), d is an (m,) vector.  The terms are summed in their
+    order, from zero, as the matrix suppliers sum theirs.
+    """
+
+    a_terms: tuple
+    b_terms: tuple | None
+
+    def reflected(self, horizon):
+        """The diagonals at horizon - t."""
+        def flip(terms):
+            return None if terms is None else tuple(
+                (lambda t, f=theta: f(horizon - t), d) for theta, d in terms)
+        return Diagonals(flip(self.a_terms), flip(self.b_terms))
+
+
+def _diagonal(terms, times, m):
+    """The (..., m) sum of a :class:`Diagonals` term tuple at ``times``."""
+    out = np.zeros(times.shape + (m,))
+    for theta, d in terms:
+        out += np.multiply.outer(np.broadcast_to(theta(times), times.shape), d)
+    return out
+
+
+@dataclass(frozen=True)
 class BlockOperator:
-    """Suppliers of A(t) (and B(t) for damped problems) plus the dimension."""
+    """Suppliers of A(t) (and B(t) for damped problems) plus the dimension.
+
+    ``diagonals``, when given, are those of A(t) and B(t) at every t, which
+    :func:`fundamental_solution` then integrates mode by mode.
+    """
 
     a_of_t: object
     b_of_t: object
     dim: int
+    diagonals: Diagonals | None = None
 
     @property
     def kind(self):
@@ -71,14 +114,16 @@ def damped_operator(a_of_t, b_of_t, dim):
 
 
 def reversed_operator(op, horizon):
-    """Operator of the returned adjoint problem: A_r(t) = A(T - t)^H."""
+    """Operator of the returned adjoint problem: A_r(t) = A(T - t)^H, with
+    the diagonals, if any, at T - t."""
     def a_r(t):
         return np.asarray(op.a_of_t(horizon - t)).conj().T
     b_r = None
     if op.b_of_t is not None:
         def b_r(t):
             return np.asarray(op.b_of_t(horizon - t)).conj().T
-    return BlockOperator(a_r, b_r, op.dim)
+    return BlockOperator(a_r, b_r, op.dim, None if op.diagonals is None
+                         else op.diagonals.reflected(horizon))
 
 
 def spectral_frequency(op, horizon):
@@ -101,9 +146,22 @@ def validate_step(op, horizon, h):
             f"(need h <= {STABILITY_LIMIT / freq:.4g})")
 
 
+def _check_step(t0, t1, h):
+    if not (np.isfinite(h) and h > 0 and np.isfinite(t0) and np.isfinite(t1)):
+        raise ConfigurationError(
+            f"need a finite positive step and finite ends, got h={h!r} "
+            f"from t={t0!r} to t={t1!r}")
+
+
+def _substeps(t0, t1, h):
+    """RK4 substeps of size <= h from t0 to t1, before the floor of 1."""
+    return np.ceil(np.abs(t1 - t0) / h - 1e-12)
+
+
 def _span(op, t0, t1, X, h, forcing=None, check_every_step=True):
     """Integrate the block system from t0 to t1 (either direction) with
-    classical RK4 substeps of size <= h; the one substep loop of the package.
+    classical RK4 substeps of size <= h; the one dense substep loop of the
+    package, whose mode-by-mode counterpart is :func:`_mode_span`.
 
     ``X`` is a state (2m,) or a stack of states (2m, k); ``forcing`` maps t
     to the second-block vector f(t).  The stage matrices are evaluated at
@@ -116,13 +174,10 @@ def _span(op, t0, t1, X, h, forcing=None, check_every_step=True):
     is not finite and positive, or an end that is not finite, raises
     :class:`ConfigurationError`.
     """
-    if not (np.isfinite(h) and h > 0 and np.isfinite(t0) and np.isfinite(t1)):
-        raise ConfigurationError(
-            f"need a finite positive step and finite ends, got h={h!r} "
-            f"from t={t0!r} to t={t1!r}")
+    _check_step(t0, t1, h)
     if t1 == t0:
         return X
-    n = max(1, int(np.ceil(abs(t1 - t0) / h - 1e-12)))
+    n = max(1, int(_substeps(t0, t1, h)))
     dt = (t1 - t0) / n
     m = op.dim
 
@@ -264,15 +319,18 @@ class FundamentalSolution:
     is kept, so rows in ascending order cost one batched product each.  The
     block bounds are computed on first use and kept, which is sound because
     the tables made by :func:`fundamental_solution` and :func:`load_fs` are
-    read-only.
+    read-only.  ``modes``, the (N, m, 2, 2) mode blocks of maps that are
+    zero off them, is kept where :func:`fundamental_solution` made them
+    and None otherwise; the bounds are then read from it.
     """
 
-    def __init__(self, time_grid, m, kind, blocks, h):
+    def __init__(self, time_grid, m, kind, blocks, h, modes=None):
         self.time_grid = np.asarray(time_grid, dtype=float)
         self.m = m
         self.kind = kind
         self.blocks = blocks      # (N, 2m, 2m), Phi_i at [i]
         self.h = h
+        self.modes = modes        # (N, m, 2, 2) mode blocks of Phi_i, or None
         self._eye = np.eye(2 * m)
         self._eye.flags.writeable = False
         self._last = (0, self._eye[None])
@@ -340,7 +398,8 @@ class FundamentalSolution:
     def duhamel_bound(self):
         """max over t_i of int_0^t_i ||S(t_i,s)||_2 ds (the constant M_{2,T}).
 
-        Exact 2-norms are taken only for the rows that can decide the
+        A table with ``modes`` takes every row's exact integral from them,
+        :meth:`_mode_row_maximum`.  On dense maps, exact 2-norms are taken only for the rows that can decide the
         maximum.  The floor is a lower bound on the last row's integral:
         its S-blocks come from a backward product of top halves,
         E(t_{N-1}, s_j)[:m] = E(t_{N-1}, s_{j+1})[:m] Phi_{j+1}, O(N m^3),
@@ -361,12 +420,35 @@ class FundamentalSolution:
         maximum over the exact integrals of every row.
         """
         if self._duhamel is None:
-            floor = self._last_row_floor()
-            best = self._pruned_row_maximum(floor)
-            if best < floor:
-                best = self._pruned_row_maximum(0.0)
+            if self.modes is not None:
+                best = self._mode_row_maximum()
+            else:
+                floor = self._last_row_floor()
+                best = self._pruned_row_maximum(floor)
+                if best < floor:
+                    best = self._pruned_row_maximum(0.0)
             self._duhamel = best
         return self._duhamel
+
+    def _mode_row_maximum(self):
+        """The largest exact row integral of a table with a mode stack.
+
+        Every block is diagonal in each quadrant, S(t_i, s_j) =
+        diag(s_k(t_i, s_j)), so ||S||_2 = max_k |s_k|.  Row i of the stack
+        is Phi_i times row i - 1, then Phi_i and the identity: one batched
+        2 x 2 product per row, O(N^2 m) in all.
+        """
+        grid, phis = self.time_grid, self.modes
+        row = np.broadcast_to(np.eye(2), phis.shape[1:])[None]
+        best = 0.0
+        for i in range(1, self.n_nodes):
+            prev, row = row, np.empty((i + 1,) + phis.shape[1:])
+            np.matmul(phis[i], prev[:i - 1], out=row[:i - 1])
+            row[i - 1] = phis[i]
+            row[i] = np.eye(2)
+            vals = np.abs(row[:, :, 0, 1]).max(axis=1)
+            best = max(best, float(quadrature.integrate(vals, grid[:i + 1])))
+        return best
 
     def _last_row_floor(self):
         """A lower bound on int_0^T ||S(t_{N-1}, s)||_2 ds, O(N m^3)."""
@@ -414,7 +496,15 @@ class FundamentalSolution:
 
     def first_column_bounds(self):
         """(M1, M2): the largest 2-norms of C(t_i, 0) and S(t_i, 0)."""
-        if self._first_column is None:
+        if self._first_column is None and self.modes is not None:
+            # every quadrant of E(t_i, 0) is diagonal: its norm is max_k |.|
+            first = [np.broadcast_to(np.eye(2), self.modes.shape[1:])]
+            for phi in self.modes[1:]:
+                first.append(phi @ first[-1])
+            first = np.abs(np.array(first))
+            self._first_column = (float(first[..., 0, 0].max()),
+                                  float(first[..., 0, 1].max()))
+        elif self._first_column is None:
             m = self.m
             first = [self._eye, self.blocks[1]]
             for i in range(2, self.n_nodes):
@@ -434,11 +524,16 @@ def fundamental_solution(op, grid, h=1e-3):
     E(t_j, s_i) = Phi_j E(t_{j-1}, s_i) for i < j, with the exact identity
     on the diagonal.  Every pair is a product of the same interval maps, so
     the composition identity E(t,s) = E(t,r)E(r,s) holds by construction up
-    to matmul rounding.  Only the maps are made here.  That no product of
-    them overflows is shown by :func:`_log_growth_bound`, O(N m^2); only
-    where that certificate fails are the rows made, O(N^2 m^3), and the
-    first one that is not finite raises :class:`PropagationError` naming
-    its interval.
+    to matmul rounding.  Only the maps are made here.  An operator with
+    :class:`Diagonals` gets them mode by mode from :func:`_mode_maps`,
+    O(N m) per substep, kept as the table's ``modes`` and scattered into
+    the dense maps; any other is integrated densely, O(N m^3).  That no
+    product of them overflows is shown by :func:`_log_growth_bound`,
+    O(N m^2), or O(N m) on the mode stack; only where that certificate
+    fails are the rows made, O(N^2 m^3), and the first one that is not
+    finite raises :class:`PropagationError` naming its interval.  Mode
+    maps that are not finite are made again densely, so a failed table
+    raises the errors of the dense fill.
     :func:`require_memory` checks the table's size before anything is
     allocated.
     """
@@ -452,18 +547,108 @@ def fundamental_solution(op, grid, h=1e-3):
     n2 = 2 * op.dim
     N = grid.size
     a0 = np.asarray(op.a_of_t(grid[0]))
-    blocks = np.zeros((N, n2, n2))
-    for j in range(1, N):
-        try:
-            blocks[j] = _transition(op, grid[j - 1], grid[j], h)
-        except PropagationError as exc:
-            # a row before interval j may overflow first
-            _check_rows(blocks[:j], a0, grid)
-            raise PropagationError(f"{_where(grid, j)}: {exc}",
-                                   time=exc.time) from exc
-    _check_rows(blocks, a0, grid)
+    modes = None
+    if op.diagonals is not None:
+        _check_step(grid[0], grid[1], h)
+        modes = _mode_maps(op.diagonals, grid, h, op.dim)
+        if not np.all(np.isfinite(modes)):
+            # the dense fill raises the error a failed table always raised
+            modes = None
+    if modes is not None:
+        blocks = _expand(modes)
+    else:
+        blocks = np.zeros((N, n2, n2))
+        for j in range(1, N):
+            try:
+                blocks[j] = _transition(op, grid[j - 1], grid[j], h)
+            except PropagationError as exc:
+                # a row before interval j may overflow first
+                _check_rows(blocks[:j], a0, grid)
+                raise PropagationError(f"{_where(grid, j)}: {exc}",
+                                       time=exc.time) from exc
+    _check_rows(blocks, a0, grid, modes)
     blocks.flags.writeable = False
-    return FundamentalSolution(grid, op.dim, op.kind, blocks, h)
+    if modes is not None:
+        modes.flags.writeable = False
+    return FundamentalSolution(grid, op.dim, op.kind, blocks, h, modes)
+
+
+def _mode_maps(diagonals, grid, h, m):
+    """The interval maps of an operator with diagonals, as the (N, m, 2, 2)
+    stack of each mode's 2 x 2 block of Phi_j at [j] ([0] is unused).
+
+    Mode k obeys u'' + b_k(t) u' + a_k(t) u = 0, so its block is
+    :func:`_span`'s RK4 on that 2 x 2 system, with the same substep count
+    and stage times per interval and the same order of operations per
+    entry.  The intervals of one substep count and all their modes step
+    at once; the diagonals are evaluated for one substep of all of them at
+    a time.  Values that are not finite are left in the stack.
+    """
+    t0, t1 = grid[:-1], grid[1:]
+    counts = np.maximum(1, _substeps(t0, t1, h)).astype(int)
+    modes = np.zeros((grid.size, m, 2, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in sorted(set(counts.tolist())):
+            j = np.flatnonzero(counts == n)
+            X = _mode_span(diagonals, t0[j], t1[j], n, m)
+            modes[j + 1] = X.transpose(2, 3, 0, 1)
+    return modes
+
+
+def _mode_span(diagonals, t0, t1, n, m):
+    """n RK4 substeps from the identity across the intervals [t0, t1]:
+    X[r, c, g, k] is entry (r, c) of mode k's block on interval g."""
+    dt = (t1 - t0) / n
+    X = np.zeros((2, 2, dt.size, m))
+    X[0, 0] = X[1, 1] = 1.0
+    k1, k2, k3, k4, Y = (np.empty_like(X) for _ in range(5))
+    damp = np.empty_like(X[1])
+    h = dt[:, None]
+
+    def stage(neg_a, neg_b, Y, k):
+        """k = G(t) Y, mode by mode."""
+        k[0] = Y[1]
+        np.multiply(neg_a, Y[0], out=k[1])
+        if neg_b is not None:
+            k[1] += np.multiply(neg_b, Y[1], out=damp)
+
+    for step in range(n):
+        t = t0 + step * dt
+        times = np.stack([t, t + 0.5 * dt, t + dt])
+        A0, Am, A1 = -_diagonal(diagonals.a_terms, times, m)
+        B0 = Bm = B1 = None
+        if diagonals.b_terms is not None:
+            B0, Bm, B1 = -_diagonal(diagonals.b_terms, times, m)
+        stage(A0, B0, X, k1)
+        np.multiply(k1, 0.5 * h, out=Y)
+        Y += X
+        stage(Am, Bm, Y, k2)
+        np.multiply(k2, 0.5 * h, out=Y)
+        Y += X
+        stage(Am, Bm, Y, k3)
+        np.multiply(k3, h, out=Y)
+        Y += X
+        stage(A1, B1, Y, k4)
+        k2 *= 2.0
+        k1 += k2
+        k3 *= 2.0
+        k1 += k3
+        k1 += k4
+        k1 *= h / 6.0
+        X += k1
+    return X
+
+
+def _expand(modes):
+    """The dense (N, 2m, 2m) maps of an (N, m, 2, 2) mode stack: mode k's
+    block at rows and columns k and m + k, zero elsewhere."""
+    N, m = modes.shape[:2]
+    blocks = np.zeros((N, 2 * m, 2 * m))
+    k = np.arange(m)
+    for r in (0, 1):
+        for c in (0, 1):
+            blocks[:, r * m + k, c * m + k] = modes[:, :, r, c]
+    return blocks
 
 
 def _where(grid, j):
@@ -482,23 +667,31 @@ def _log_growth_bound(phis, a0):
     and ||X||_2 <= sqrt(||X||_1 ||X||_inf); the clamp at 1 keeps a
     contractive map from shrinking the bound on a sub-product.  A matmul
     Phi E sums 2m terms of at most max|Phi| max|E| each.  O(N m^2).
+
+    ``phis`` holds dense (2m, 2m) maps or the (m, 2, 2) mode blocks of
+    maps that are zero off them; the column and row sums of such a map are
+    its blocks' sums plus zeros, so both give the same float.
     """
     d = np.sqrt(1.0 + np.abs(np.diagonal(a0)))
-    d = np.concatenate([d, np.ones_like(d)])
+    if phis.ndim == 3:
+        phis, d = phis[:, None], np.concatenate([d, np.ones_like(d)])[None]
+    else:
+        d = np.stack([d, np.ones_like(d)], axis=-1)
     mag = np.abs(phis)
-    scaled = mag * (d[:, None] / d)
-    norms = np.sqrt(scaled.sum(axis=-2).max(axis=-1)
-                    * scaled.sum(axis=-1).max(axis=-1))
+    scaled = mag * (d[:, :, None] / d[:, None, :])
+    norms = np.sqrt(scaled.sum(axis=-2).max(axis=(-2, -1))
+                    * scaled.sum(axis=-1).max(axis=(-2, -1)))
     return float(np.log(d.max()) + np.log(np.maximum(norms, 1.0)).sum()
                  + np.log(d.size) + np.log(max(1.0, mag.max(initial=0.0))))
 
 
-def _check_rows(phis, a0, grid):
+def _check_rows(phis, a0, grid, modes=None):
     """Raise :class:`PropagationError` at the first row of the products of
     ``phis[1:]`` (``phis[j]`` is Phi_j) with a block that is not finite.
-    The rows are made only when :func:`_log_growth_bound` cannot show
-    that all of them are finite."""
-    if _log_growth_bound(phis[1:], a0) < OVERFLOW_LOG_LIMIT:
+    The rows are made only when :func:`_log_growth_bound`, of the maps'
+    ``modes`` where given, cannot show that all of them are finite."""
+    if _log_growth_bound((phis if modes is None else modes)[1:], a0) \
+            < OVERFLOW_LOG_LIMIT:
         return
     row = np.eye(phis.shape[-1])[None]
     for j in range(1, len(phis)):

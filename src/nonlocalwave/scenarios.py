@@ -190,9 +190,7 @@ def realize(scenario, m=None, h=None, fs_step=None, span_tol=1e-8, seed=0):
     basis = build_basis(scenario.domain, m)
 
     form = build_form(scenario)
-    op = propagator.BlockOperator(
-        forms.stiffness_supplier(form, basis),
-        forms.damping_supplier(form, basis), m)
+    op = forms.block_operator(form, basis)
 
     grid = np.linspace(0.0, T, n_nodes)
     fs = propagator.fundamental_solution(op, grid, h=h)

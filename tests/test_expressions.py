@@ -95,3 +95,24 @@ def test_depends_on():
 def test_constant_folding():
     e = parse_expression("2*3 + 0*t")
     assert e.source == "6.0" and e() == 6.0
+
+
+@pytest.mark.parametrize("src,source,at", [
+    ("x/(t - 0.5)*0", "x/(t - 0.5)*0.0", {"t": 0.5, "x": 1.0}),
+    ("0*exp(1000)", "0.0*exp(1000.0)", {}),
+    ("0/(t - t)", "0.0/(t - t)", {"t": 1.0}),
+    ("0/0", "0.0/0.0", {}),
+])
+def test_zero_keeps_a_subterm_that_is_not_finite(src, source, at):
+    # numpy gives nan for each source at ``at``; so must its expression
+    e = parse_expression(src)
+    assert e.source == source
+    with np.errstate(all="ignore"):
+        assert np.isnan(e(**at))
+
+
+@pytest.mark.parametrize("src,source", [
+    ("0*t + 1", "1.0"), ("x*0 + t", "t"), ("0/2*x", "0.0"), ("2*0", "0.0"),
+])
+def test_zero_absorbs_a_number_or_a_variable(src, source):
+    assert parse_expression(src).source == source

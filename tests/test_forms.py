@@ -3,7 +3,7 @@ import pytest
 
 import nonlocalwave as nlw
 from nonlocalwave import (CertificationError, ConfigurationError,
-                          ExpressionError, forms, quadrature)
+                          ExpressionError, forms, propagator, quadrature)
 from nonlocalwave.forms import vvprime_norm
 
 
@@ -104,6 +104,28 @@ def test_suppliers_match_quadrature(coef, domain):
             want = assemble(f, basis, t)
             got = supplier(t)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("domain", ["interval", "rectangle"])
+def test_diagonals_are_the_suppliers_diagonals(domain):
+    dom = nlw.interval(np.pi) if domain == "interval" else \
+        nlw.rectangle(np.pi, 2.0)
+    basis = nlw.build_basis(dom, 6)
+    op = nlw.block_operator(form("1 + t/2", "0.2 + sin(t)", damping="0.5"),
+                            basis)
+    T = 1.0
+    rev = nlw.reversed_operator(op, T)
+    times = np.array([0.0, 0.37, 1.0])
+    for o in (op, rev):
+        a = propagator._diagonal(o.diagonals.a_terms, times, 6)
+        b = propagator._diagonal(o.diagonals.b_terms, times, 6)
+        for k, t in enumerate(times):
+            A, B = o.a_of_t(t), o.b_of_t(t)
+            assert np.array_equal(a[k], np.diagonal(A))
+            assert np.array_equal(b[k], np.diagonal(B))
+            for M in (A, B):
+                off = M - np.diag(np.diagonal(M))
+                assert np.abs(off).max() <= 1e-12 * np.abs(M).max()
 
 
 @pytest.mark.parametrize("coef", ["exp(-t*x)", "(1 + t)*(2 + cos(x))",

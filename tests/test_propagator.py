@@ -9,7 +9,7 @@ from scipy.integrate import solve_ivp
 
 import nonlocalwave as nlw
 from nonlocalwave import ConfigurationError
-from nonlocalwave import propagator
+from nonlocalwave import forms, propagator
 from nonlocalwave.propagator import _log_growth_bound, _next_row, _span
 
 
@@ -322,20 +322,23 @@ def count_exact_norm_blocks(monkeypatch):
 @pytest.mark.parametrize("name", ["population", "undamped_neumann"])
 def test_duhamel_bound_takes_at_most_one_row_of_exact_norms(
         tmp_path, monkeypatch, name):
+    # a fresh table of a shipped scenario reads its mode stack, with no
+    # exact norm; the loaded one has none, so its bound is the dense
+    # sweep's, and the two implementations must give the same float
     rz = nlw.realize(nlw.builtin_scenarios()[name], m=32)
     fs, N = rz.fs, rz.fs.n_nodes
     count = count_exact_norm_blocks(monkeypatch)
     bound = fs.duhamel_bound()
-    fresh = count[0]
-    assert 0 < fresh <= N
+    assert fs.modes is not None and count[0] == 0
     monkeypatch.undo()
     path = tmp_path / "fs.bin"
     nlw.dump_fs(fs, path)
     loaded = nlw.load_fs(path)
     path.unlink()
+    assert loaded.modes is None
     count = count_exact_norm_blocks(monkeypatch)
     assert loaded.duhamel_bound() == bound
-    assert count[0] == fresh
+    assert 0 < count[0] <= N
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -971,3 +974,101 @@ def test_batched_axioms_match_per_pair_loop(damped):
         assert abs(nlw.adjoint_defect(fs, other)
                    - per_pair_adjoint(fs, other)) < 1e-13
     assert nlw.adjoint_defect(fs, fs) > 1e-3
+
+
+def dense_operator(op):
+    """``op`` without its diagonals, so its tables take the dense fill."""
+    return nlw.BlockOperator(op.a_of_t, op.b_of_t, op.dim)
+
+
+def assert_close_tables(fs, ref, rtol=1e-13):
+    assert np.abs(fs.blocks - ref.blocks).max() <= \
+        rtol * np.abs(ref.blocks).max()
+
+
+@pytest.mark.parametrize("m", [1, 2, 16, 64])
+@pytest.mark.parametrize("name", ["population", "undamped_neumann"])
+def test_mode_table_matches_the_dense_table(name, m):
+    rz = nlw.realize(nlw.builtin_scenarios()[name], m=m)
+    fs = rz.fs
+    assert fs.modes is not None and fs.modes.shape == (81, m, 2, 2)
+    dense = nlw.fundamental_solution(dense_operator(rz.op), rz.grid, h=rz.h)
+    assert dense.modes is None
+    assert_close_tables(fs, dense)
+    # the mode blocks are the table's, and nothing lies off them
+    np.testing.assert_array_equal(propagator._expand(fs.modes), fs.blocks)
+    assert fs.duhamel_bound() == dense.duhamel_bound()
+    assert fs.first_column_bounds() == dense.first_column_bounds()
+    # the overflow certificate reads the same float from either layout
+    a0 = rz.op.a_of_t(0.0)
+    assert _log_growth_bound(fs.modes[1:], a0) == \
+        _log_growth_bound(fs.blocks[1:], a0)
+
+
+def test_mode_path_on_a_non_uniform_grid():
+    # substep counts 5, 5, 15, 5, 25 and 45 at h = 0.01: four groups
+    rz = nlw.realize(nlw.scenario_population(), m=8)
+    grid = np.array([0.0, 0.05, 0.1, 0.25, 0.3, 0.55, 1.0])
+    fs = nlw.fundamental_solution(rz.op, grid, h=1e-2)
+    dense = nlw.fundamental_solution(dense_operator(rz.op), grid, h=1e-2)
+    assert fs.modes is not None
+    assert_close_tables(fs, dense)
+    np.testing.assert_allclose(fs.first_column_bounds(),
+                               dense.first_column_bounds(), rtol=1e-13)
+    # each interval alone gives its map of the whole grid's table
+    for j in range(1, grid.size):
+        alone = nlw.fundamental_solution(rz.op, grid[j - 1:j + 1], h=1e-2)
+        np.testing.assert_array_equal(alone.modes[1], fs.modes[j])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("c,grid", [
+    # finite maps whose products overflow after about 7 intervals
+    ("-1e4", np.linspace(0.0, 10.0, 11)),
+    # the first interval's own map overflows
+    ("-1e6", np.linspace(0.0, 2.0, 3))])
+def test_mode_path_blowup_names_the_interval_of_the_dense_fill(c, grid):
+    # u'' = -c u on every mode, as in the dense blow-up test
+    basis = nlw.build_basis(nlw.interval(np.pi), 2)
+    form = nlw.FormSpec(None, nlw.coefficient_field("c", c), None, grid[-1])
+    op = nlw.block_operator(form, basis)
+    assert op.diagonals is not None
+    errors = []
+    for o in (op, dense_operator(op)):
+        with pytest.raises(nlw.PropagationError,
+                           match="between nodes [0-9]+ and [0-9]+") as exc:
+            nlw.fundamental_solution(o, grid, h=1e-3)
+        errors.append((str(exc.value), exc.value.time))
+    assert errors[0] == errors[1]
+
+
+def test_coefficient_over_x_keeps_the_dense_table(basis_pi8):
+    f = nlw.FormSpec(nlw.coefficient_field("a", "1 + t/2"),
+                     nlw.coefficient_field("c", "1 + cos(x)/4"), None, 1.0)
+    op = nlw.block_operator(f, basis_pi8)
+    assert op.diagonals is None
+    grid = np.linspace(0.0, 1.0, 11)
+    fs = nlw.fundamental_solution(op, grid, h=1e-2)
+    assert fs.modes is None
+    supplier_op = nlw.undamped_operator(nlw.stiffness_supplier(f, basis_pi8),
+                                        8)
+    want = nlw.fundamental_solution(supplier_op, grid, h=1e-2)
+    np.testing.assert_array_equal(fs.blocks, want.blocks)
+
+
+def test_gram_matrix_off_its_diagonal_keeps_the_dense_table(basis_pi8,
+                                                           monkeypatch):
+    f = nlw.FormSpec(nlw.coefficient_field("a", "1 + t/2"), None, None, 1.0)
+    assert nlw.block_operator(f, basis_pi8).diagonals is not None
+    # the gradient Gram matrix has off-diagonal rounding; with no tolerance
+    # it is not diagonal
+    monkeypatch.setattr(forms, "GRAM_TOL", 0.0)
+    assert nlw.block_operator(f, basis_pi8).diagonals is None
+
+
+@pytest.mark.parametrize("name", ["population", "undamped_neumann"])
+def test_adjoint_check_on_a_mode_table(name):
+    rz = nlw.realize(nlw.builtin_scenarios()[name], m=16)
+    T = float(rz.grid[-1])
+    assert nlw.reversed_operator(rz.op, T).diagonals is not None
+    assert nlw.adjoint_check(rz.fs, rz.op) < 1e-12
