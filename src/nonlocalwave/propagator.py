@@ -25,8 +25,10 @@ coefficients over t alone gives on the Neumann eigenbasis, carries its
 :class:`Diagonals`.  Its system is then m independent 2 x 2 systems, one per
 mode, and its interval maps are integrated as one (N - 1, m, 2, 2) stack,
 O(N m) per substep instead of O(N m^3) in all; the table keeps the stack as
-``modes`` and takes its bounds from it.  Every other operator, and a table
-read by :func:`load_fs`, keeps the dense maps alone.
+``modes`` and takes its bounds from it, and the prefix products of the
+stack, :meth:`FundamentalSolution.scan_factors`, let the representation
+formula run as a prefix scan, O(N m) per evaluation.  Every other operator,
+and a table read by :func:`load_fs`, keeps the dense maps alone.
 """
 
 from __future__ import annotations
@@ -51,6 +53,14 @@ MEMORY_SHARE = 0.5     # share of MemAvailable that a table may plan to take
 # the exponent range of a float; the other half absorbs the rounding of the
 # products it bounds
 OVERFLOW_LOG_LIMIT = 0.5 * float(np.log(np.finfo(float).max))
+# largest max_i ||P_i|| max_j ||P_j^-1|| of a mode (see _scan_growth) for
+# which a mode table's representation formula takes the prefix scan: on
+# damped diagonal tables the scan stayed within 4.5e-14 of the node loop's
+# largest entry up to 1.8e3, and reached 1.5e-13 at 7.1e3; the shipped
+# scenarios read 2.04 and 2.72 at every m
+SCAN_LIMIT = 2e3
+
+_UNMADE = object()
 
 _MEMINFO = "/proc/meminfo"
 
@@ -127,9 +137,19 @@ def reversed_operator(op, horizon):
 
 
 def spectral_frequency(op, horizon):
-    """Largest oscillation frequency sqrt(||A(t)||) over sampled times."""
+    """Largest oscillation frequency sqrt(||A(t)||) over sampled times.
+
+    With :class:`Diagonals`, ||A(t)||_2 = max_k |a_k(t)| and likewise for
+    B(t); any other operator takes SVD 2-norms."""
+    times = np.linspace(0.0, horizon, FREQUENCY_SAMPLES)
+    if op.diagonals is not None:
+        a, b = op.diagonals.a_terms, op.diagonals.b_terms
+        freq = float(np.sqrt(np.abs(_diagonal(a, times, op.dim)).max()))
+        if b is not None:
+            freq = max(freq, float(np.abs(_diagonal(b, times, op.dim)).max()))
+        return freq
     freq = 0.0
-    for t in np.linspace(0.0, horizon, FREQUENCY_SAMPLES):
+    for t in times:
         freq = max(freq, float(np.sqrt(np.linalg.norm(op.a_of_t(t), 2))))
         if op.b_of_t is not None:
             freq = max(freq, float(np.linalg.norm(op.b_of_t(t), 2)))
@@ -255,17 +275,21 @@ def propagate(op, s, t, U0, forcing=None, h=1e-3):
     return _span(op, s, t, U0, h, forcing=forcing)
 
 
-def table_bytes(m, n_nodes, audit=False):
+def table_bytes(m, n_nodes, audit=False, modes=False):
     """Bytes a table of ``n_nodes`` nodes with 2m x 2m blocks needs at its
     peak: the interval maps, plus the row being made and the row it is made
     from, as :meth:`FundamentalSolution.row` and a fill or load whose
     overflow certificate fails hold them, and with ``audit`` every row of
     the grid held at once, as :func:`check_axioms` and
-    :func:`adjoint_defect` hold them."""
+    :func:`adjoint_defect` hold them.  With ``modes``, the table's mode
+    stack and the two factor arrays of
+    :meth:`FundamentalSolution.scan_factors`, (N, m, 2, 2) each, are
+    added."""
     blocks = 3 * n_nodes
     if audit:
         blocks += n_nodes * (n_nodes + 1) // 2
-    return blocks * 8 * (2 * m) ** 2
+    stacks = 3 * n_nodes * 4 * m if modes else 0
+    return (blocks * (2 * m) ** 2 + stacks) * 8
 
 
 def memory_budget():
@@ -281,10 +305,10 @@ def memory_budget():
     return None
 
 
-def require_memory(m, n_nodes, audit=False):
+def require_memory(m, n_nodes, audit=False, modes=False):
     """Raise :class:`ConfigurationError` before a table larger than the
     :func:`memory_budget` is allocated."""
-    need = table_bytes(m, n_nodes, audit)
+    need = table_bytes(m, n_nodes, audit, modes)
     budget = memory_budget()
     if budget is not None and need > budget:
         raise ConfigurationError(
@@ -305,6 +329,128 @@ def _next_row(phi, prev):
     return row
 
 
+def _prefix_products(modes):
+    """P[i] = Phi_i ... Phi_1 of an (N, m, 2, 2) mode stack, P[0] = I:
+    one batched 2 x 2 product per node."""
+    P = np.empty(modes.shape)
+    P[0] = np.eye(2)
+    for i in range(1, len(modes)):
+        np.matmul(modes[i], P[i - 1], out=P[i])
+    return P
+
+
+def _scan_factors(modes):
+    """(P, Q) of :meth:`FundamentalSolution.scan_factors` from a mode stack,
+    or None where :func:`_scan_growth` exceeds ``SCAN_LIMIT`` or is not
+    finite."""
+    P = _prefix_products(modes)
+    adj = np.empty_like(P)
+    adj[..., 0, 0], adj[..., 1, 1] = P[..., 1, 1], P[..., 0, 0]
+    adj[..., 0, 1], adj[..., 1, 0] = -P[..., 0, 1], -P[..., 1, 0]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        det = P[..., 0, 0] * P[..., 1, 1] - P[..., 0, 1] * P[..., 1, 0]
+        Q = adj / det[..., None, None]
+        growth = _scan_growth(P, Q)
+    if not (np.isfinite(growth) and growth <= SCAN_LIMIT):
+        return None
+    return tuple(np.ascontiguousarray(X.transpose(0, 2, 3, 1)) for X in (P, Q))
+
+
+def _scan_growth(P, Q):
+    """max over modes of max_i ||P_i|| max_j ||Q_j|| for (N, m, 2, 2)
+    stacks, in each mode's balanced norm ||X|| = ||D X D^-1||_F.
+
+    D = diag(d, 1), with d^2 the ratio of the largest |entry (1, 0)| to the
+    largest |entry (0, 1)| over P and Q (1 where either is 0), weighs a
+    displacement like its velocity: an undamped mode of frequency w has
+    d = w and products of norm 1, however large w.  Rounding in the scan is
+    componentwise, so it does not see that scaling; it grows with the damping
+    a mode's products undo.
+    """
+    r10, r01 = (np.maximum(np.abs(P[..., r, c]).max(axis=0),
+                           np.abs(Q[..., r, c]).max(axis=0))
+                for r, c in ((1, 0), (0, 1)))
+    ok = (r10 > 0) & (r01 > 0) & np.isfinite(r10) & np.isfinite(r01)
+    d = np.sqrt(np.where(ok, r10, 1.0) / np.where(ok, r01, 1.0))
+
+    def largest(X):
+        Y = X.copy()
+        Y[..., 0, 1] *= d
+        Y[..., 1, 0] /= d
+        return np.sqrt((Y ** 2).sum(axis=(2, 3))).max(axis=0)
+    return float((largest(P) * largest(Q)).max())
+
+
+def _mv2(M, x):
+    """Mode-by-mode 2 x 2 mat-vecs: M (..., 2, 2, m) times x (..., 2, m)."""
+    terms = M * x[..., None, :, :]
+    return terms[..., 0, :] + terms[..., 1, :]
+
+
+class _MapWindow:
+    """The dense interval maps Phi_{a+k}, k = 0..K, of a window a..b = a + K
+    of a table, as the representation formula's recurrence reads them."""
+
+    def __init__(self, phi):
+        self.phi = phi
+
+    def chain(self, V0, C=None):
+        """(K + 1, 2m) states V_0 = V0, V_k = Phi_{a+k} V_{k-1} + C[k - 1]
+        (C None: no C term), one in-place gemv per node."""
+        V = np.empty((len(self.phi), V0.size),
+                     dtype=np.result_type(V0, float if C is None else C))
+        V[0] = V0
+        # the node loop runs over views; ndarray.dot into ``out`` is the
+        # same gemv as np.matmul, the same floats, at less cost per call
+        Vs = list(V)
+        if C is None:
+            for Phi, prev, cur in zip(self.phi[1:], Vs, Vs[1:]):
+                Phi.dot(prev, out=cur)
+        else:
+            for Phi, prev, cur, c in zip(self.phi[1:], Vs, Vs[1:], C):
+                Phi.dot(prev, out=cur)
+                cur += c
+        return V
+
+    def mv(self, k, x):
+        """Phi_{a+k} x for one node k and state x, or mat-vecs stacked over
+        a slice k of nodes and a stack x of states."""
+        phi = self.phi[k]
+        return phi @ x if phi.ndim == 2 else (phi @ x[..., None])[..., 0]
+
+
+class _ScanWindow:
+    """The same recurrence on a mode table, as a prefix scan.
+
+    A state (2m,) = (u, v) is read as (2, m), so mode k's 2 x 2 block acts
+    on (u_k, v_k), and with P_i = Phi_i ... Phi_1 the chain is
+    V_k = P_{a+k} (P_a^-1 V0 + sum_{j<=k} P_{a+j}^-1 C[j - 1]): elementwise
+    2 x 2 products and one cumsum, no loop over nodes.
+    """
+
+    def __init__(self, phi, P, Q):
+        self.phi, self.P, self.Q = phi, P, Q     # (K + 1, 2, 2, m) each
+
+    def chain(self, V0, C=None):
+        K, m = len(self.P) - 1, self.P.shape[-1]
+        start = _mv2(self.Q[0], V0.reshape(2, m))
+        if C is None:
+            V = _mv2(self.P, start)
+        else:
+            acc = np.empty((K + 1, 2, m), dtype=np.result_type(start, C))
+            acc[0] = start
+            acc[1:] = _mv2(self.Q[1:], C.reshape(K, 2, m))
+            V = _mv2(self.P, np.cumsum(acc, axis=0, out=acc))
+        V = V.reshape(K + 1, 2 * m)
+        V[0] = V0
+        return V
+
+    def mv(self, k, x):
+        shape = x.shape
+        return _mv2(self.phi[k], x.reshape(shape[:-1] + (2, shape[-1] // 2))
+                    ).reshape(shape)
+
+
 class FundamentalSolution:
     """Blocks E(t_i, s_j) for grid pairs with s_j <= t_i.
 
@@ -321,7 +467,12 @@ class FundamentalSolution:
     the tables made by :func:`fundamental_solution` and :func:`load_fs` are
     read-only.  ``modes``, the (N, m, 2, 2) mode blocks of maps that are
     zero off them, is kept where :func:`fundamental_solution` made them
-    and None otherwise; the bounds are then read from it.
+    and None otherwise; the bounds are then read from it, and so are the
+    scan factors that :meth:`window` hands the representation formula.
+    The blocks stay dense either way, since :meth:`row`,
+    :func:`check_axioms`, :func:`adjoint_defect` and :func:`dump_fs` read
+    them.  The startup blocks and window steps of the representation
+    formula are kept per node and window.
     """
 
     def __init__(self, time_grid, m, kind, blocks, h, modes=None):
@@ -336,6 +487,9 @@ class FundamentalSolution:
         self._last = (0, self._eye[None])
         self._duhamel = None
         self._first_column = None
+        self._scan = _UNMADE
+        self._steps = {}
+        self._startup = {}
 
     @property
     def n_nodes(self):
@@ -381,6 +535,56 @@ class FundamentalSolution:
             row = _next_row(self.blocks[j], row)
         self._last = (i, row)
         return row
+
+    def scan_factors(self):
+        """(P, Q) of a mode table, made on first use and kept: the prefix
+        products P[i] = Phi_i ... Phi_1 (P[0] = I) and their exact 2 x 2
+        inverses Q[i], both (N, 2, 2, m), mode last.
+
+        The scan's rounding grows with ||P_i|| ||P_j^-1||, so a table for
+        which max_i ||P_i|| max_j ||P_j^-1|| of some mode, in its balanced
+        norm (:func:`_scan_growth`), exceeds ``SCAN_LIMIT`` or is not
+        finite gets None, as does a table without modes; the bound holds
+        for every window of the others.  O(N m).
+        """
+        if self._scan is _UNMADE:
+            self._scan = None if self.modes is None else \
+                _scan_factors(self.modes)
+        return self._scan
+
+    def window(self, a, b):
+        """The interval maps of nodes a..b as the representation formula's
+        recurrence reads them: ``chain(V0, C)``, the states
+        V_k = Phi_{a+k} V_{k-1} + C[k - 1] from V_0 = V0, and ``mv(k, x)``,
+        Phi_{a+k} x for a node or stacked over a slice of nodes.  A table
+        with :meth:`scan_factors` evaluates the chain as a prefix scan,
+        O(K m); any other runs one dense mat-vec per node, O(K m^2)."""
+        scan = self.scan_factors()
+        if scan is None:
+            return _MapWindow(self.blocks[a:b + 1])
+        P, Q = scan
+        return _ScanWindow(self.modes[a:b + 1].transpose(0, 2, 3, 1),
+                           P[a:b + 1], Q[a:b + 1])
+
+    def window_step(self, a, b):
+        """The step of the uniform grid window a..b, checked by
+        :func:`quadrature.require_uniform` once per window and kept."""
+        if (a, b) not in self._steps:
+            self._steps[a, b] = quadrature.require_uniform(
+                self.time_grid[a:b + 1])
+        return self._steps[a, b]
+
+    def startup_blocks(self, j, b_of_t=None):
+        """S(t_{j+1}, t_j) and its s-derivative at s = t_j, S B(t_j) - C
+        (-C for ``b_of_t`` None), from the backward identity
+        dE/ds = -E G(s); made once per node and damping supplier, and kept."""
+        key = (j, b_of_t)
+        if key not in self._startup:
+            S, C = self.S(j + 1, j), self.C(j + 1, j)
+            ds = -C if b_of_t is None else \
+                S @ np.asarray(b_of_t(self.time_grid[j])) - C
+            self._startup[key] = (S, ds)
+        return self._startup[key]
 
     def sup_norms(self):
         """Largest 2-norms of the four quadrants over all pairs."""
@@ -498,10 +702,7 @@ class FundamentalSolution:
         """(M1, M2): the largest 2-norms of C(t_i, 0) and S(t_i, 0)."""
         if self._first_column is None and self.modes is not None:
             # every quadrant of E(t_i, 0) is diagonal: its norm is max_k |.|
-            first = [np.broadcast_to(np.eye(2), self.modes.shape[1:])]
-            for phi in self.modes[1:]:
-                first.append(phi @ first[-1])
-            first = np.abs(np.array(first))
+            first = np.abs(_prefix_products(self.modes))
             self._first_column = (float(first[..., 0, 0].max()),
                                   float(first[..., 0, 1].max()))
         elif self._first_column is None:
@@ -542,7 +743,7 @@ def fundamental_solution(op, grid, h=1e-3):
             and np.all(np.diff(grid) > 0)):
         raise ConfigurationError(
             "grid must be finite and strictly increasing with >= 2 nodes")
-    require_memory(op.dim, grid.size)
+    require_memory(op.dim, grid.size, modes=op.diagonals is not None)
     validate_step(op, float(grid[-1]), h)
     n2 = 2 * op.dim
     N = grid.size

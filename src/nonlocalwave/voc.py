@@ -7,9 +7,11 @@ The representation path evaluates
 
 (with v1, v2 for damped problems) on the fundamental-solution grid as a
 recurrence over the interval maps Phi_i = E(t_i, t_{i-1}): one chain, the
-homogeneous state plus the composite-Simpson Duhamel sum, is advanced one
-interval at a time with one mat-vec per interval, so one evaluation costs
-O(N m^2) and reads only the interval maps.
+homogeneous state plus the composite-Simpson Duhamel sum, reads only the
+interval maps.  On a mode table it is a prefix scan over the cumulative
+products of the maps, so one evaluation costs O(N m) with no loop over
+nodes; on dense maps the chain is the node loop, one mat-vec per interval,
+O(N m^2).
 Velocities come from the derivative blocks, never from differencing the
 u-track.  The oracle path integrates the full inhomogeneous block system
 with the same one-step method but no tables, giving an independent
@@ -68,24 +70,19 @@ def single_interval_duhamel(fs, op, i, j0, F, dt):
     The plain trapezoid here is only third-order accurate, which the
     residual's second differences would amplify; the Euler-Maclaurin
     derivative correction restores smooth O(dt^5) startup error.  The
-    s-derivative of S comes from the backward identity dE/ds = -E G(s).
+    s-derivative of S comes from the backward identity dE/ds = -E G(s);
+    it and S(t_i, t_j0) are the table's :meth:`startup_blocks`, made once
+    per table and start node.
     """
-    q0 = fs.S(i, j0) @ F[j0]                     # S(t_i, t_i) F = 0 at s = t_i
+    S, ds_s = fs.startup_blocks(j0, op.b_of_t)
+    q0 = S @ F[j0]                               # S(t_i, t_i) F = 0 at s = t_i
     if j0 + 2 < F.shape[0]:
         fp0 = (-3.0 * F[j0] + 4.0 * F[j0 + 1] - F[j0 + 2]) / (2.0 * dt)
     else:
         fp0 = (F[j0 + 1] - F[j0]) / dt
-    ds_s = -fs.C(i, j0)
-    if op.b_of_t is not None:
-        ds_s = fs.S(i, j0) @ np.asarray(op.b_of_t(fs.time_grid[j0])) - fs.C(i, j0)
     q1p = -F[i]
-    q0p = ds_s @ F[j0] + fs.S(i, j0) @ fp0
+    q0p = ds_s @ F[j0] + S @ fp0
     return 0.5 * dt * q0 - dt ** 2 / 12.0 * (q1p - q0p)
-
-
-def _mv(M, x):
-    """Stacked mat-vecs M[k] @ x[k], one gemv per slice."""
-    return (M @ x[..., None])[..., 0]
 
 
 def representation(fs, op, x0, y0, F, start=0, stop=None, u=None, v=None):
@@ -109,25 +106,30 @@ def representation(fs, op, x0, y0, F, start=0, stop=None, u=None, v=None):
     * k = 1: Phi_{a+1} X_0 plus the endpoint-corrected startup rule for u
       and a trapezoid for v.
 
-    The node loop makes one (2m x 2m) mat-vec per node, written in place
-    with Phi_i read from ``fs.blocks``; the even-node split and the closing
-    panels (three stacked mat-vecs over the maps of the odd nodes) are
-    whole-window array passes, the same floats as one 2-D mat-vec per map
-    and node.  A homogeneous call runs the same loop on X alone.  Only
-    ``fs.blocks`` is read, apart from the startup rule's E(t_{a+1}, t_a).
-    A forced window must be uniform.  Rows of ``u`` and ``v`` outside
-    start..stop are left untouched.  The table must be of ``op``'s kind,
-    since the startup rule reads B(t) from the operator.  A window outside
-    0 <= start <= stop <= N - 1, or data or samples of the wrong shape,
-    raise :class:`ConfigurationError` before anything is allocated.
+    Only the chain and the stacked mat-vecs depend on the table's layout,
+    and both come from :meth:`FundamentalSolution.window`.  On a mode table
+    the chain is a prefix scan, V_k = P_i (P_a^-1 V_0 + sum_j P_j^-1 w_j Z_j)
+    with P_i = Phi_i ... Phi_1, and every mat-vec is an elementwise 2 x 2
+    product per mode, so one evaluation costs O(N m) with no loop over
+    nodes.  On dense maps, and on a mode table whose prefix products are
+    too ill-conditioned for the scan, the chain is the node loop, one
+    (2m x 2m) mat-vec per node written in place, O(N m^2); its even-node
+    split and closing panels (three stacked mat-vecs over the maps of the
+    odd nodes) are whole-window array passes, the same floats as one 2-D
+    mat-vec per map and node.  A homogeneous call runs the chain on X
+    alone.  A forced window must be uniform.  Rows of ``u`` and ``v``
+    outside start..stop are left untouched.  The table must be of ``op``'s
+    kind, since the startup rule reads B(t) from the operator.  A window
+    outside 0 <= start <= stop <= N - 1, data or samples of the wrong
+    shape, or a forced window that is not uniform raise
+    :class:`ConfigurationError` before anything is allocated.
     """
     if op.kind != fs.kind:
         raise ConfigurationError(
             f"a {op.kind} operator needs a {op.kind} family, "
             f"got a {fs.kind} one")
     m = fs.m
-    grid = fs.time_grid
-    N = grid.size
+    N = fs.n_nodes
     a = start
     b = N - 1 if stop is None else stop
     if not 0 <= a <= b <= N - 1:
@@ -142,49 +144,39 @@ def representation(fs, op, x0, y0, F, start=0, stop=None, u=None, v=None):
         raise ConfigurationError(
             f"forcing samples have shape {np.shape(F)}, need ({N}, {m})")
     K = b - a
+    forced = F is not None and K > 0
+    if forced:
+        h = fs.window_step(a, b)
     if u is None:
         dt = np.result_type(x0, y0, float if F is None else F)
         u = np.empty((N, m), dtype=dt)
         v = np.empty((N, m), dtype=dt)
-    phi = fs.blocks[a:b + 1]      # phi[k] = Phi_{a+k}
-    # the node loops run over views; ndarray.dot into ``out`` is the same
-    # gemv as np.matmul, the same floats, at less cost per call
-    phis = list(phi)
+    win = fs.window(a, b)
     X0 = np.concatenate([x0, y0])
-    if F is None or K == 0:
-        U = np.empty((K + 1, 2 * m), dtype=np.result_type(X0, float))
-        U[0] = X0
-        Us = list(U)
-        for Phi, prev, cur in zip(phis[1:], Us, Us[1:]):
-            Phi.dot(prev, out=cur)
+    if not forced:
+        U = win.chain(X0)
         u[a:b + 1], v[a:b + 1] = U[:, :m], U[:, m:]
         return u, v
-    h = quadrature.require_uniform(grid[a:b + 1])
     Z = np.zeros((K + 1, 2 * m), dtype=np.result_type(F, float))
     Z[:, m:] = F[a:b + 1]
-    wZ = np.empty_like(Z)
-    wZ[1::2] = 4.0 * h / 3.0 * Z[1::2]
-    wZ[2::2] = 2.0 * h / 3.0 * Z[2::2]
-    V = np.empty((K + 1, 2 * m), dtype=np.result_type(X0, Z))
-    V[0] = X0 + h / 3.0 * Z[0]
-    Vs = list(V)
-    for Phi, prev, cur, w in zip(phis[1:], Vs, Vs[1:], wZ[1:]):
-        Phi.dot(prev, out=cur)
-        cur += w
+    wZ = np.empty_like(Z[1:])
+    wZ[0::2] = 4.0 * h / 3.0 * Z[1::2]
+    wZ[1::2] = 2.0 * h / 3.0 * Z[2::2]
+    V = win.chain(X0 + h / 3.0 * Z[0], wZ)
     U = np.empty_like(V)
     U[0] = X0
     U[2::2] = V[2::2] - h / 3.0 * Z[2::2]
-    duh = 0.5 * h * (phi[1] @ Z[0] + Z[1])
+    duh = 0.5 * h * (win.mv(1, Z[0]) + Z[1])
     duh[:m] = single_interval_duhamel(fs, op, a + 1, a, F, h)
-    U[1] = phi[1] @ X0 + duh
+    U[1] = win.mv(1, X0) + duh
     # odd k >= 3: slice d picks k - 3 + d for k = 3, 5, .., K
     n = (K - 1) // 2
     k3, k2, k1, k0 = (slice(d, d + 2 * n, 2) for d in range(4))
     c = 9.0 * h / 8.0
     y = U[k3] + 3.0 * h / 8.0 * Z[k3]
-    y = _mv(phi[k2], y) + c * Z[k2]
-    y = _mv(phi[k1], y) + c * Z[k1]
-    U[k0] = _mv(phi[k0], y) + 3.0 * h / 8.0 * Z[k0]
+    y = win.mv(k2, y) + c * Z[k2]
+    y = win.mv(k1, y) + c * Z[k1]
+    U[k0] = win.mv(k0, y) + 3.0 * h / 8.0 * Z[k0]
     u[a:b + 1], v[a:b + 1] = U[:, :m], U[:, m:]
     return u, v
 

@@ -1072,3 +1072,44 @@ def test_adjoint_check_on_a_mode_table(name):
     T = float(rz.grid[-1])
     assert nlw.reversed_operator(rz.op, T).diagonals is not None
     assert nlw.adjoint_check(rz.fs, rz.op) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["population", "undamped_neumann"])
+def test_spectral_frequency_from_the_diagonals(name):
+    rz = nlw.realize(nlw.builtin_scenarios()[name], m=32)
+    T = float(rz.grid[-1])
+    dense = dense_operator(rz.op)
+    freq = propagator.spectral_frequency(rz.op, T)
+    want = propagator.spectral_frequency(dense, T)
+    assert abs(freq - want) <= 1e-14 * want
+    # the same steps pass and fail on either path
+    limit = propagator.STABILITY_LIMIT / want
+    for h in (rz.h, 0.5 * limit, limit * (1 - 1e-9), limit * (1 + 1e-9),
+              2.0 * limit):
+        outcomes = []
+        for op in (rz.op, dense):
+            try:
+                propagator.validate_step(op, T, h)
+                outcomes.append("ok")
+            except ConfigurationError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], h
+    assert outcomes[0] != "ok"
+
+
+def test_table_bytes_counts_the_scan_factors_of_a_mode_table(monkeypatch):
+    rz = nlw.realize(nlw.scenario_population(), m=32)
+    fs = rz.fs
+    P, Q = fs.scan_factors()
+    need = propagator.table_bytes(32, 81, modes=True)
+    extra = need - propagator.table_bytes(32, 81)
+    assert extra == fs.modes.nbytes + P.nbytes + Q.nbytes
+    assert extra == 3 * 81 * 4 * 32 * 8
+    # about 0.25 MB at m=32
+    assert 0.24e6 < extra < 0.26e6
+    # a mode table is checked against its whole size before it is made
+    monkeypatch.setattr(propagator, "memory_budget", lambda: need - 1)
+    with pytest.raises(ConfigurationError, match="MemAvailable"):
+        nlw.fundamental_solution(rz.op, rz.grid, h=rz.h)
+    monkeypatch.setattr(propagator, "memory_budget", lambda: need)
+    assert nlw.fundamental_solution(rz.op, rz.grid, h=rz.h).modes is not None

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import nonlocalwave as nlw
-from nonlocalwave import ConfigurationError, quadrature, voc
+from nonlocalwave import (ConfigurationError, fixedpoint, propagator,
+                          quadrature, voc)
 from nonlocalwave.fixedpoint import gronwall_radius
 
 
@@ -520,3 +523,173 @@ def test_representation_rejects_bad_window_and_shapes(case):
     args = dict(x0=np.ones(1), y0=np.zeros(1), F=np.ones((11, 1))) | case
     with pytest.raises(ConfigurationError):
         voc.representation(fs, op, **args)
+
+
+def dense_twin(fs):
+    """The table's dense maps alone, so its representation runs the node
+    loop."""
+    return nlw.FundamentalSolution(fs.time_grid, fs.m, fs.kind, fs.blocks,
+                                   fs.h)
+
+
+@pytest.fixture(scope="module", params=["population", "undamped_neumann"])
+def mode_table(request):
+    rz = nlw.realize(nlw.builtin_scenarios()[request.param], m=8)
+    assert rz.fs.modes is not None and rz.fs.scan_factors() is not None
+    return rz
+
+
+def no_node_loop(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the node loop ran on a mode table")
+    monkeypatch.setattr(propagator._MapWindow, "chain", unreachable)
+
+
+@pytest.mark.parametrize("data", ["real", "complex", "homogeneous"])
+def test_scan_matches_the_dense_chain(mode_table, data, monkeypatch):
+    op, fs = mode_table.op, mode_table.fs
+    dense = dense_twin(fs)
+    m, N = fs.m, fs.n_nodes
+    rng = np.random.default_rng(12)
+    x0, y0 = rng.standard_normal(m), rng.standard_normal(m)
+    F = rng.standard_normal((N, m))
+    if data == "complex":
+        y0 = y0 + 1j * rng.standard_normal(m)
+        F = F + 1j * rng.standard_normal((N, m))
+    elif data == "homogeneous":
+        F = None
+    windows = [(a, a + K) for a in (0, 1, 17) for K in (0, 1, 2, 3, 6, 7)]
+    windows += [(0, N - 1), (5, N - 1), (23, 60)]
+    want = {w: voc.representation(dense, op, x0, y0, F, *w) for w in windows}
+    no_node_loop(monkeypatch)
+    for (a, b), ref in want.items():
+        got = voc.representation(fs, op, x0, y0, F, start=a, stop=b)
+        for g, r in zip(got, ref):
+            assert g.dtype == r.dtype
+            err = np.abs(g[a:b + 1] - r[a:b + 1]).max()
+            assert err <= 1e-13 * np.abs(r[a:b + 1]).max(), (a, b, err)
+
+
+def test_partitioned_solution_map_agrees_on_both_layouts(mode_table,
+                                                         monkeypatch):
+    problem, fs = mode_table.problem, mode_table.fs
+    m, grid = fs.m, fs.time_grid
+    rng = np.random.default_rng(13)
+    w = nlw.Trajectory(grid, 0.1 * rng.standard_normal((grid.size, m)),
+                       0.1 * rng.standard_normal((grid.size, m)))
+    x0, y0 = rng.standard_normal(m), rng.standard_normal(m)
+    partition = [0, 20, 41, 60, grid.size - 1]
+    want = fixedpoint._solution_map(problem, dense_twin(fs), w, x0, y0,
+                                    partition, tol=1e-10)
+    no_node_loop(monkeypatch)
+    got = fixedpoint._solution_map(problem, fs, w, x0, y0, partition,
+                                   tol=1e-10)
+    for g, r in ((got.u, want.u), (got.v, want.v)):
+        assert np.abs(g - r).max() <= 1e-13 * np.abs(r).max()
+
+
+def test_strong_damping_trips_the_scan_guard():
+    # b = 50 over a unit horizon: the prefix products lose e^50 in the
+    # determinant, so the table keeps the node loop, bit for bit
+    basis = nlw.build_basis(nlw.interval(np.pi), 6)
+    form = nlw.FormSpec(nlw.coefficient_field("d", "1 + t/2"), None,
+                        nlw.coefficient_field("sigma", "50"), 1.0)
+    op = nlw.block_operator(form, basis)
+    grid = np.linspace(0.0, 1.0, 41)
+    fs = nlw.fundamental_solution(op, grid, h=1e-3)
+    assert fs.modes is not None and fs.scan_factors() is None
+    rng = np.random.default_rng(14)
+    x0, y0 = rng.standard_normal(6), rng.standard_normal(6)
+    F = rng.standard_normal((41, 6))
+    for F_, a, b in ((F, 0, 40), (F, 3, 30), (None, 0, 40)):
+        got = voc.representation(fs, op, x0, y0, F_, a, b)
+        want = voc.representation(dense_twin(fs), op, x0, y0, F_, a, b)
+        for g, r in zip(got, want):
+            assert np.array_equal(g[a:b + 1], r[a:b + 1])
+
+
+def test_loaded_and_x_dependent_tables_keep_the_node_loop(tmp_path,
+                                                          basis_pi8):
+    rz = nlw.realize(nlw.scenario_population(), m=8)
+    nlw.dump_fs(rz.fs, tmp_path / "fs.bin")
+    loaded = nlw.load_fs(tmp_path / "fs.bin")
+    form = nlw.FormSpec(nlw.coefficient_field("a", "1 + t/2"),
+                        nlw.coefficient_field("c", "1 + cos(x)/4"), None, 1.0)
+    x_op = nlw.block_operator(form, basis_pi8)
+    x_fs = nlw.fundamental_solution(x_op, np.linspace(0.0, 1.0, 21), h=1e-2)
+    rng = np.random.default_rng(15)
+    for op, fs in ((rz.op, loaded), (x_op, x_fs)):
+        assert fs.modes is None and fs.scan_factors() is None
+        m, N = fs.m, fs.n_nodes
+        x0, y0 = rng.standard_normal(m), rng.standard_normal(m)
+        F = rng.standard_normal((N, m))
+        for a, stop in ((0, None), (3, 12)):
+            got = voc.representation(fs, op, x0, y0, F, start=a, stop=stop)
+            ref = per_node_representation(fs, op, x0, y0, F, start=a,
+                                          stop=stop)
+            b = N - 1 if stop is None else stop
+            for g, r in zip(got, ref):
+                assert np.array_equal(g[a:b + 1], r[a:b + 1])
+
+
+@pytest.mark.parametrize("case", [
+    dict(start=5, stop=4), dict(start=5, stop=2), dict(stop=81),
+    dict(start=82), dict(F=np.ones((80, 8))), dict(F=np.ones((81, 9))),
+    dict(F=np.ones(81)), dict(x0=np.ones(9)), dict(y0=np.ones(9)),
+    dict(kind=True)])
+def test_scan_path_rejects_before_allocating(mode_table, case, monkeypatch):
+    op, fs = mode_table.op, mode_table.fs
+    case = dict(case)
+    if case.pop("kind", False):
+        other = "undamped_neumann" if op.kind == "damped" else "population"
+        op = nlw.realize(nlw.builtin_scenarios()[other], m=8).op
+    args = dict(x0=np.ones(8), y0=np.zeros(8), F=np.ones((81, 8))) | case
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the window was read")
+    monkeypatch.setattr(fs, "window", unreachable)
+    monkeypatch.setattr(fs, "window_step", unreachable)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigurationError):
+            voc.representation(fs, op, **args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # u alone would take 81 * 8 * 8 = 5184 bytes
+    assert peak < 4096
+
+
+def test_scan_path_rejects_a_non_uniform_window_before_allocating():
+    rz = nlw.realize(nlw.scenario_population(), m=4)
+    grid = np.array([0.0, 0.1, 0.2, 0.35, 0.5, 0.6])
+    fs = nlw.fundamental_solution(rz.op, grid, h=1e-3)
+    assert fs.scan_factors() is not None
+    F = np.ones((grid.size, 4))
+    with pytest.raises(ConfigurationError, match="uniform"):
+        voc.representation(fs, rz.op, np.ones(4), np.zeros(4), F)
+    # a uniform sub-window of the same table takes the scan
+    u, _ = voc.representation(fs, rz.op, np.ones(4), np.zeros(4), F,
+                              start=0, stop=2)
+    want, _ = voc.representation(dense_twin(fs), rz.op, np.ones(4),
+                                 np.zeros(4), F, start=0, stop=2)
+    assert np.abs(u[:3] - want[:3]).max() <= 1e-13 * np.abs(want[:3]).max()
+
+
+def test_startup_blocks_and_window_steps_are_made_once(mode_table):
+    op, fs = mode_table.op, dense_twin(mode_table.fs)
+    rng = np.random.default_rng(16)
+    F = rng.standard_normal((81, 8))
+    first = voc.representation(fs, op, np.ones(8), np.zeros(8), F, start=4)
+    blocks = fs.startup_blocks(4, op.b_of_t)
+    assert fs.window_step(4, 80) == quadrature.require_uniform(
+        fs.time_grid[4:])
+    again = voc.representation(fs, op, np.ones(8), np.zeros(8), F, start=4)
+    assert fs.startup_blocks(4, op.b_of_t) is blocks
+    for g, r in zip(again, first):
+        assert np.array_equal(g[4:], r[4:])
+    S, ds = blocks
+    assert np.array_equal(S, fs.S(5, 4))
+    want = -fs.C(5, 4) if op.b_of_t is None else \
+        fs.S(5, 4) @ op.b_of_t(fs.time_grid[4]) - fs.C(5, 4)
+    assert np.array_equal(ds, want)
